@@ -15,15 +15,23 @@
 //	fireledger -id 3 -addrs ...
 //
 // With -saturate σ the node fills every block with random σ-byte
-// transactions (the paper's §7.2 load). With -client :port it serves the
-// versioned client wire protocol of internal/clientapi on that port:
-// fireledger.Dial / cmd/flclient sessions submit transactions, receive
+// transactions (the paper's §7.2 load). With -data the definite chains
+// persist and a restart resumes from them; -sync additionally makes every
+// persisted block durable by group commit (one fsync per batch of blocks
+// finalized while the previous fsync was in flight). With -client :port it
+// serves the versioned client wire protocol of internal/clientapi on that
+// port: fireledger.Dial / cmd/flclient sessions submit transactions, receive
 // commit receipts, and stream the merged definite block sequence from a
 // cursor. With -state map|durable the node additionally maintains a
 // queryable ledger replica and serves receipt-anchored point gets, ordered
 // range scans, and key watches over the same client port ("durable"
 // requires -data; with -snapshot-every its snapshot rides in the chain
 // checkpoints, so restarts resume the state too).
+//
+// The binary exposes deployment settings only: signature-verification
+// batching paces itself from the measured arrival rate, and the gossip and
+// body-compression extensions are reachable from cmd/flbench (-exp
+// ext-gossip, ext-compression), not from here.
 package main
 
 import (
@@ -40,35 +48,25 @@ import (
 	"repro/internal/clientapi"
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		id          = flag.Int("id", 0, "this node's index into -addrs")
-		addrs       = flag.String("addrs", "", "comma-separated host:port list, one per node (required)")
-		seed        = flag.String("seed", "fireledger-demo", "shared key-derivation seed (demo PKI)")
-		workers     = flag.Int("workers", 1, "FLO workers (the paper's omega)")
-		batch       = flag.Int("batch", 100, "transactions per block (beta)")
-		saturate    = flag.Int("saturate", 0, "fill blocks with random transactions of this size (sigma); 0 = client load only")
-		clientAddr  = flag.String("client", "", "listen address for flclient submissions (optional)")
-		dataDir     = flag.String("data", "", "directory for the persistent chain logs (optional; enables restart recovery)")
-		syncWrites  = flag.Bool("sync", false, "fsync every persisted block (requires -data)")
-		groupCommit = flag.Bool("group-commit", false, "batch durable appends into one fsync per batch (requires -sync)")
-		gcWindow    = flag.Duration("group-commit-window", 0, "static delay per group-commit flush to grow batches (with -group-commit; overrides -group-commit-adaptive; 0 = batch only during in-flight fsyncs)")
-		gcAdaptive  = flag.Bool("group-commit-adaptive", false, "size the group-commit flush delay from the observed block arrival rate (with -group-commit)")
-		gcMaxWindow = flag.Duration("group-commit-max-window", 0, "cap on the adaptive group-commit flush delay (0 = store default)")
-		noBatchVer  = flag.Bool("no-batch-verify", false, "verify every signature individually instead of batching Ed25519 checks into multi-scalar combinations")
-		verBatchMax = flag.Int("verify-batch-max", 0, "cap on signatures per batched Ed25519 combination (0 = default)")
-		verMinWait  = flag.Duration("verify-min-wait", 0, "minimum batch-fill grace period per verification batch (0 = default)")
-		verMaxWait  = flag.Duration("verify-max-wait", 0, "maximum adaptive batch-fill wait per verification batch (0 = default)")
-		catchBatch  = flag.Int("catchup-batch", 64, "blocks per streaming catch-up batch; also the lag threshold that switches a node from per-round pulls to range sync")
-		snapEvery   = flag.Uint64("snapshot-every", 0, "checkpoint and compact the chain log every N definite rounds (requires -data; 0 disables)")
-		state       = flag.String("state", "", "queryable ledger state backend: 'map' (in-memory) or 'durable' (requires -data); empty serves no state reads")
-		statsEvery  = flag.Duration("stats", 5*time.Second, "stats print interval")
-		gossip      = flag.Bool("gossip", false, "disseminate block bodies by push-gossip instead of the clique overlay")
-		fanout      = flag.Int("fanout", 3, "gossip fanout (with -gossip)")
-		compressB   = flag.Bool("compress", false, "DEFLATE-compress block bodies on the wire")
-		exclude     = flag.Bool("exclude-convicted", false, "convict equivocators on-chain and remove them from the proposer rotation (must match across the cluster)")
+		id         = flag.Int("id", 0, "this node's index into -addrs")
+		addrs      = flag.String("addrs", "", "comma-separated host:port list, one per node (required)")
+		seed       = flag.String("seed", "fireledger-demo", "shared key-derivation seed (demo PKI)")
+		workers    = flag.Int("workers", 1, "FLO workers (the paper's omega)")
+		batch      = flag.Int("batch", 100, "transactions per block (beta)")
+		saturate   = flag.Int("saturate", 0, "fill blocks with random transactions of this size (sigma); 0 = client load only")
+		clientAddr = flag.String("client", "", "listen address for flclient submissions (optional)")
+		dataDir    = flag.String("data", "", "directory for the persistent chain logs (optional; enables restart recovery)")
+		syncWrites = flag.Bool("sync", false, "make persisted blocks durable by group commit: one fsync per batch of blocks (requires -data)")
+		catchBatch = flag.Int("catchup-batch", 64, "blocks per streaming catch-up batch; also the lag threshold that switches a node from per-round pulls to range sync")
+		snapEvery  = flag.Uint64("snapshot-every", 0, "checkpoint and compact the chain log every N definite rounds (requires -data; 0 disables)")
+		state      = flag.String("state", "", "queryable ledger state backend: 'map' (in-memory) or 'durable' (requires -data); empty serves no state reads")
+		statsEvery = flag.Duration("stats", 5*time.Second, "stats print interval")
+		exclude    = flag.Bool("exclude-convicted", false, "convict equivocators on-chain and remove them from the proposer rotation (must match across the cluster)")
 	)
 	flag.Parse()
 
@@ -114,30 +112,18 @@ func main() {
 		log.Fatalf("unknown -state %q (want 'map' or 'durable')", *state)
 	}
 
-	node, err := fireledger.NewNode(fireledger.Config{
-		Endpoint:             ep,
-		Registry:             ks.Registry,
-		Priv:                 ks.Privs[*id],
-		Workers:              *workers,
-		BatchSize:            *batch,
-		Saturate:             *saturate,
-		DataDir:              *dataDir,
-		SyncWrites:           *syncWrites,
-		GroupCommit:          *groupCommit,
-		GroupCommitWindow:    *gcWindow,
-		GroupCommitAdaptive:  *gcAdaptive,
-		GroupCommitMaxWindow: *gcMaxWindow,
-		DisableBatchVerify:   *noBatchVer,
-		VerifyBatchMax:       *verBatchMax,
-		VerifyMinWait:        *verMinWait,
-		VerifyMaxWait:        *verMaxWait,
-		CatchUpBatch:         *catchBatch,
-		SnapshotEvery:        *snapEvery,
-		State:                backend,
-		GossipBodies:         *gossip,
-		GossipFanout:         *fanout,
-		CompressBodies:       *compressB,
-		ExcludeConvicted:     *exclude,
+	cfg := fireledger.Config{
+		Endpoint:         ep,
+		Registry:         ks.Registry,
+		Priv:             ks.Privs[*id],
+		Workers:          *workers,
+		BatchSize:        *batch,
+		DataDir:          *dataDir,
+		SyncWrites:       *syncWrites,
+		CatchUpBatch:     *catchBatch,
+		SnapshotEvery:    *snapEvery,
+		State:            backend,
+		ExcludeConvicted: *exclude,
 		OnConviction: func(w uint32, rec fireledger.ConvictionRecord) {
 			log.Printf("worker %d: node %d convicted of equivocation (offense round %d, on-chain at round %d)",
 				w, rec.Culprit, rec.Proof.Round(), rec.ChainRound)
@@ -146,7 +132,11 @@ func main() {
 			log.Printf("worker %d: installed transferred snapshot at base %d (peers had compacted past this node's tail)",
 				w, base)
 		},
-	})
+	}
+	if *saturate > 0 {
+		cfg.Source = workload.Saturating(flcrypto.NodeID(*id), *saturate)
+	}
+	node, err := fireledger.NewNode(cfg)
 	if err != nil {
 		log.Fatalf("assemble node: %v", err)
 	}

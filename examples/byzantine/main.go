@@ -12,12 +12,13 @@ import (
 	"time"
 
 	fireledger "repro"
+	"repro/internal/workload"
 )
 
 func main() {
 	cluster, err := fireledger.NewLocalCluster(4, func(i int, cfg *fireledger.Config) {
 		cfg.BatchSize = 10
-		cfg.Saturate = 64 // synthetic full-block load
+		cfg.Source = workload.Saturating(fireledger.NodeID(i), 64) // synthetic full-block load
 		if i == 3 {
 			cfg.Equivocate = true // the Byzantine split-proposer
 		}

@@ -13,12 +13,13 @@ import (
 
 	fireledger "repro"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 func run(latency fireledger.LatencyModel, label string, timer time.Duration) (bps float64) {
 	cluster, err := fireledger.NewLocalClusterOn(10, latency, func(i int, cfg *fireledger.Config) {
 		cfg.BatchSize = 100
-		cfg.Saturate = 512 // σ=512, the Bitcoin-sized transactions of §7
+		cfg.Source = workload.Saturating(fireledger.NodeID(i), 512) // σ=512, the Bitcoin-sized transactions of §7
 		cfg.InitialTimer = timer
 	})
 	if err != nil {

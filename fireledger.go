@@ -105,7 +105,7 @@ func NewNode(cfg Config) (*Node, error) { return flo.NewNode(cfg) }
 
 // NewMapState returns the in-memory ledger-state backend: a hash map with
 // an ordered view built per scan. State survives restarts only through
-// store checkpoints (Config.Store).
+// chain checkpoints (Config.DataDir with Config.SnapshotEvery).
 func NewMapState() StateBackend { return statemachine.NewKV() }
 
 // OpenDurableState opens the disk-backed ledger-state backend in dir: values

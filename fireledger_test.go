@@ -3,13 +3,15 @@ package fireledger
 import (
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 func TestLocalClusterEndToEnd(t *testing.T) {
 	cluster, err := NewLocalCluster(4, func(i int, cfg *Config) {
 		cfg.Workers = 1
 		cfg.BatchSize = 5
-		cfg.Saturate = 32
+		cfg.Source = workload.Saturating(NodeID(i), 32)
 	})
 	if err != nil {
 		t.Fatal(err)

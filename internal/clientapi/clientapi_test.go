@@ -14,6 +14,7 @@ import (
 	"repro/internal/flo"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // testWorkers mirrors the flo test suite: ω defaults to 1, FLO_TEST_WORKERS
@@ -417,7 +418,7 @@ func TestRemoteInfo(t *testing.T) {
 // through the ACK, resolving the pending with an error instead of hanging.
 func TestRemoteSubmitRejectedOnSaturatedNode(t *testing.T) {
 	addr, _, _ := newClusterServer(t, func(i int, cfg *flo.Config) {
-		cfg.Saturate = 32
+		cfg.Source = workload.Saturating(flcrypto.NodeID(i), 32)
 	})
 	c, err := Dial(addr, 3, DialOptions{})
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/flcrypto"
 	"repro/internal/flo"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // simCluster is a 4-node cluster over a seeded SimNetwork with a clientapi
@@ -250,7 +251,7 @@ func TestCursorReplayAcrossServerCrashGapFree(t *testing.T) {
 		t.Skip("multi-second cluster scenario")
 	}
 	c := newSimCluster(t, 777, func(i int, dir string, cfg *flo.Config) {
-		cfg.Saturate = 32 // self-generating load keeps the chain moving
+		cfg.Source = workload.Saturating(flcrypto.NodeID(i), 32) // self-generating load keeps the chain moving
 		cfg.DataDir = dir
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -308,7 +309,7 @@ func TestCursorReplayAcrossServerCrashGapFree(t *testing.T) {
 		Priv:         c.ks.Privs[0],
 		Workers:      1,
 		BatchSize:    8,
-		Saturate:     32,
+		Source:       workload.Saturating(0, 32),
 		DataDir:      c.dirs[0],
 		InitialTimer: 25 * time.Millisecond,
 		ViewTimeout:  250 * time.Millisecond,

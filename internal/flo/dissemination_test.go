@@ -8,6 +8,7 @@ import (
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // assertAgreement checks that all listed nodes agree on their common
@@ -50,7 +51,7 @@ func newRawCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) (*transp
 			Priv:         ks.Privs[i],
 			Workers:      1,
 			BatchSize:    10,
-			Saturate:     64,
+			Source:       workload.Saturating(flcrypto.NodeID(i), 64),
 			InitialTimer: 50 * time.Millisecond,
 			ViewTimeout:  300 * time.Millisecond,
 		}
@@ -139,7 +140,7 @@ func newLatencyCluster(t *testing.T, n int, lat transport.LatencyModel, tweak fu
 			Priv:         ks.Privs[i],
 			Workers:      1,
 			BatchSize:    10,
-			Saturate:     64,
+			Source:       workload.Saturating(flcrypto.NodeID(i), 64),
 			InitialTimer: 50 * time.Millisecond,
 			ViewTimeout:  300 * time.Millisecond,
 		}
@@ -166,7 +167,7 @@ func TestClusterWithCompressedBodies(t *testing.T) {
 		net, nodes := newRawCluster(t, 4, func(i int, cfg *Config) {
 			cfg.CompressBodies = compress
 			cfg.BatchSize = 20
-			cfg.Saturate = 0 // client pool: we control payload content
+			cfg.Source = nil // client pool: we control payload content
 		})
 		// Feed every node compressible transactions.
 		payload := bytes.Repeat([]byte("compressible-ledger-entry "), 40) // ~1 KiB

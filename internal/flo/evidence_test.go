@@ -8,6 +8,7 @@ import (
 	"repro/internal/evidence"
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // TestEquivocatorConvictedAndExcluded drives the full accountability path of
@@ -212,7 +213,7 @@ func TestConvictionSurvivesRestart(t *testing.T) {
 		Priv:      c.ks.Privs[0],
 		Workers:   1,
 		BatchSize: 5,
-		Saturate:  64,
+		Source:    workload.Saturating(0, 64),
 		DataDir:   dir,
 		// ExcludeConvicted alone (no pool hooks): scanning replayed blocks
 		// must reproduce the exclusion map.

@@ -56,38 +56,25 @@ type Config struct {
 	Priv     flcrypto.PrivateKey
 	// VerifyPool is the node's shared signature-verification pool (parallel
 	// workers plus a dedup cache; see flcrypto.VerifyPool), threaded down to
-	// every protocol service. Nil creates a GOMAXPROCS-sized pool owned (and
-	// closed) by the node — set SyncVerify to opt out entirely.
+	// every protocol service. Nil creates a GOMAXPROCS-sized pool at the
+	// adaptive batching defaults, owned (and closed) by the node — set
+	// SyncVerify to opt out entirely. A supplied pool carries its own
+	// flcrypto.PoolOptions (the one place batch pacing lives) and is closed
+	// by its owner after Stop.
 	VerifyPool *flcrypto.VerifyPool
 	// SyncVerify disables the asynchronous verification pipeline: every
 	// signature is checked inline and uncached where it arrives. The
 	// deterministic escape hatch for tests and debugging.
 	SyncVerify bool
-	// DisableBatchVerify makes the node-owned verify pool check every
-	// signature individually instead of batching queued requests into
-	// multi-scalar Ed25519 combinations (flcrypto batch verification). An
-	// ablation/debug switch; ignored when VerifyPool is supplied (that pool
-	// carries its own batching configuration).
-	DisableBatchVerify bool
-	// VerifyBatchMax caps signatures per batch combination of the node-owned
-	// pool (default flcrypto.DefaultBatchMax). Ignored with VerifyPool set.
-	VerifyBatchMax int
-	// VerifyMinWait and VerifyMaxWait override the node-owned pool's
-	// adaptive batch-fill pacing: a worker holding a partial batch waits at
-	// least VerifyMinWait and at most VerifyMaxWait for more arrivals, the
-	// point in between chosen from the observed request rate (see
-	// flcrypto.PoolOptions). Zero keeps the defaults; ignored with
-	// VerifyPool set.
-	VerifyMinWait time.Duration
-	VerifyMaxWait time.Duration
 	// Workers is the paper's ω (default 1).
 	Workers int
 	// BatchSize is the paper's β (default 100).
 	BatchSize int
-	// Saturate installs the §7.2 load model: every proposal is a full
-	// block of fresh random Saturate-byte transactions (σ). When false,
-	// transactions come from client pools via Submit.
-	Saturate int
+	// Source, when set, supplies each worker's transactions in place of the
+	// client pools Submit feeds — workload.Saturating is the §7.2 load model
+	// (every proposal a full block of fresh σ-byte transactions). It is
+	// called once per worker during NewNode.
+	Source func(worker uint32) core.TxSource
 	// Deliver receives the merged, definite, globally-ordered blocks
 	// (event E of Fig 9). May be nil.
 	Deliver func(worker uint32, blk types.Block)
@@ -118,28 +105,13 @@ type Config struct {
 	// DataDir, when set, persists each worker's definite chain to
 	// DataDir/w<N>.log and resumes from it on restart (internal/store).
 	DataDir string
-	// SyncWrites fsyncs every persisted block (durable, slower).
+	// SyncWrites makes persisted blocks durable by group commit
+	// (store.Options.GroupCommit): the delivery path enqueues each definite
+	// block without blocking on its fsync, and blocks finalized while a sync
+	// is in flight share the next one. An I/O failure is sticky: it surfaces
+	// on the next append, and Checkpoint and Close drain the queue first.
+	// Without it the OS page cache owns durability.
 	SyncWrites bool
-	// GroupCommit, with SyncWrites, batches persisted blocks into one
-	// buffered write and a single fsync per batch (store.Options.GroupCommit):
-	// the delivery path enqueues each definite block without blocking on its
-	// fsync, so blocks finalized while a sync is in flight share the next
-	// one. Durability acks become batched; an I/O failure is sticky and
-	// surfaces on the next append and on Close.
-	GroupCommit bool
-	// GroupCommitWindow optionally delays each group-commit flush to grow
-	// the batch (default 0: batches form naturally during the in-flight
-	// fsync, with no added latency). Setting it overrides
-	// GroupCommitAdaptive.
-	GroupCommitWindow time.Duration
-	// GroupCommitAdaptive sizes the group-commit flush delay from the
-	// observed block arrival rate instead of a fixed window (see
-	// store.Options.GroupCommitAdaptive): quiet workers fsync immediately,
-	// saturated workers grow batches up to GroupCommitMaxWindow.
-	GroupCommitAdaptive bool
-	// GroupCommitMaxWindow caps the adaptive flush delay (default
-	// store.DefaultGroupCommitMaxWindow).
-	GroupCommitMaxWindow time.Duration
 	// CatchUpBatch is the block count per streaming catch-up batch and the
 	// lag threshold that switches a node from per-round pulls to range
 	// sync (default 64). A node R rounds behind rejoins with ~R/CatchUpBatch
@@ -158,37 +130,21 @@ type Config struct {
 	// truncated, so restart replay reads only the post-snapshot suffix —
 	// O(delta), not O(history). 0 disables compaction.
 	SnapshotEvery uint64
-	// SnapshotState, when set with SnapshotEvery, supplies the opaque
-	// application checkpoint stored in every worker's snapshots (e.g. a
-	// statemachine Replica snapshot, which embeds its own merged-stream
-	// cursor). It is called at the merge point — on the delivery goroutine,
-	// right after the block completing a checkpoint cycle was delivered —
-	// so the captured state reflects exactly the merged prefix delivered so
-	// far; each worker's snapshot records that worker's last delivered
-	// round as its StateRound. Works with any ω: the merged delivery
-	// position is an explicit (worker, round) cursor carried in the
-	// application state, not a function of one worker's round.
-	SnapshotState func() []byte
-	// RestoreState is invoked once during NewNode when DataDir held at
-	// least one worker snapshot: state is the freshest application
-	// checkpoint found across workers (nil when snapshots were captured
-	// without SnapshotState), and blocks are the replayed post-snapshot
-	// rounds of every worker — sorted in merged (round, worker) order, each
-	// carrying its worker in Signed.Header.Instance — that the application
-	// must re-apply to reach the chain tips. An idempotent applier
-	// (statemachine.Replica) simply re-delivers all of them; the ones the
-	// checkpoint already covers are skipped by position.
-	RestoreState func(state []byte, blocks []types.Block)
 	// State, when set, makes the node maintain a queryable ledger replica:
 	// the merged definite stream is applied to this backend (before Deliver
 	// and subscribers see each block), and the node serves point gets,
 	// ordered range scans, and key watches from it — anchored to commit
 	// receipts via StateGet/StateScan/StateWatch. With DataDir and
-	// SnapshotEvery the replica's snapshot automatically rides in the worker
-	// checkpoints and is restored (plus replayed-block re-delivery) on
-	// restart, so State is mutually exclusive with the lower-level
-	// SnapshotState/RestoreState hooks. The node does not close the backend;
-	// its owner does, after Stop.
+	// SnapshotEvery the replica's snapshot rides in the worker checkpoints:
+	// it is captured at the merge point — on the delivery goroutine, right
+	// after the block completing a checkpoint cycle was delivered, so it
+	// reflects exactly the merged prefix delivered so far, at any ω — and
+	// each worker's snapshot records that worker's last delivered round as
+	// its StateRound. On restart NewNode loads the freshest checkpoint found
+	// across workers and re-delivers the replayed post-snapshot rounds in
+	// merged (round, worker) order; the replica's positions skip what the
+	// checkpoint already covers. The node does not close the backend; its
+	// owner does, after Stop.
 	State statemachine.StateBackend
 	// EnableEvidence activates the accountability path: each worker keeps
 	// an evidence pool, records equivocation proofs it observes, and embeds
@@ -209,14 +165,6 @@ type Config struct {
 	// CompressBodies DEFLATE-frames body payloads on the data path — the
 	// paper's recommendation for large transactions (Conclusions, §7.6).
 	CompressBodies bool
-	// CompressibleLoad makes the saturating load model emit compressible
-	// text payloads instead of random bytes (for compression experiments).
-	CompressibleLoad bool
-	// KVLoad makes the saturating load model emit state-machine Set
-	// commands over a KVLoad-key space instead of random bytes, so a
-	// configured State backend sees real writes (the state benchmarks).
-	// Only meaningful with Saturate.
-	KVLoad int
 }
 
 // Node is one FLO participant.
@@ -230,7 +178,6 @@ type Node struct {
 	obbcs    []*obbc.Service
 	rbs      []*rbroadcast.Service
 	pools    []*workload.Pool
-	sats     []*workload.SaturatingSource
 	logs     []*store.BlockLog
 	propLogs []*store.ProposalLog
 	evpools  []*evidence.Pool
@@ -261,17 +208,15 @@ type Node struct {
 	// second hashed choice (power of two choices).
 	overload int
 
-	// Restore accumulation during NewNode (cleared after RestoreState).
+	// Restore accumulation during NewNode (cleared once restored).
 	restoreBest   *store.Snapshot
-	restoreFound  bool
 	restoreBlocks []types.Block
 
 	// Managed ledger state (Config.State): the replica the merged stream is
 	// applied to and reads are served from. Assigned during NewNode (and
 	// replaced at most once by the restore path, before Start), read-only
 	// afterwards.
-	stateRep     *statemachine.Replica
-	stateManaged bool
+	stateRep *statemachine.Replica
 
 	subMu     sync.RWMutex
 	subs      []deliverSub
@@ -362,17 +307,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 100
 	}
-	if cfg.State != nil && (cfg.SnapshotState != nil || cfg.RestoreState != nil) {
-		return nil, fmt.Errorf("flo: Config.State is mutually exclusive with SnapshotState/RestoreState")
-	}
 	n := &Node{cfg: cfg, id: cfg.Endpoint.ID(), mux: transport.NewMux(cfg.Endpoint)}
 	n.overload = 4 * cfg.BatchSize
 	if cfg.State != nil {
-		n.stateManaged = true
 		n.stateRep = statemachine.NewReplicaWith(cfg.State)
-		// Checkpoints capture the managed replica; maybeCheckpoint keys off
-		// n.cfg.SnapshotState, so install the capture there.
-		n.cfg.SnapshotState = func() []byte { return n.stateRep.Snapshot() }
 	}
 	if cfg.DataDir != "" && cfg.SnapshotEvery > 0 {
 		// Checkpoint cadence: a full merge cycle crossing the boundary
@@ -386,12 +324,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if !cfg.SyncVerify {
 		n.verify = cfg.VerifyPool
 		if n.verify == nil {
-			n.verify = flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{
-				BatchMax:     cfg.VerifyBatchMax,
-				MinBatchWait: cfg.VerifyMinWait,
-				MaxBatchWait: cfg.VerifyMaxWait,
-				DisableBatch: cfg.DisableBatchVerify,
-			})
+			n.verify = flcrypto.NewVerifyPool(0, 0)
 			n.ownVerify = true
 		}
 	}
@@ -431,14 +364,16 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	if n.restoreFound {
-		// One unified restore across workers: hand the application the
-		// freshest checkpoint found (snapshots written in the same capture
+	if n.restoreBest != nil || len(n.restoreBlocks) > 0 {
+		// One unified restore across workers: load the freshest checkpoint
+		// found into the backend (snapshots written in the same capture
 		// carry identical state; a crash mid-checkpoint leaves some workers
 		// one capture behind, and the per-worker StateRound clamp in
 		// store.Checkpoint guarantees every round the freshest capture does
-		// not cover is still in some worker's replayed log) plus all
-		// replayed post-snapshot blocks in merged (round, worker) order.
+		// not cover is still in some worker's replayed log; no checkpoint
+		// yet = the backend starts empty) and re-deliver all replayed
+		// post-snapshot blocks in merged (round, worker) order — the
+		// replica's positions skip what the checkpoint covers.
 		blocks := n.restoreBlocks
 		sort.Slice(blocks, func(i, j int) bool {
 			hi, hj := &blocks[i].Signed.Header, &blocks[j].Signed.Header
@@ -447,27 +382,19 @@ func NewNode(cfg Config) (*Node, error) {
 			}
 			return hi.Instance < hj.Instance
 		})
-		if n.stateManaged {
-			// Managed restore: load the freshest checkpoint state into the
-			// backend (nil state = no checkpoint yet: the backend starts
-			// empty) and re-deliver every replayed block; the replica's
-			// positions skip what the checkpoint covers.
-			var state []byte
-			if n.restoreBest != nil {
-				state = n.restoreBest.State
-			}
-			rep, err := statemachine.RestoreReplicaInto(n.cfg.State, state)
-			if err != nil {
-				return nil, fmt.Errorf("flo: state restore: %w", err)
-			}
-			for i := range blocks {
-				rep.Deliver(blocks[i].Signed.Header.Instance, blocks[i])
-			}
-			n.stateRep = rep
-		} else {
-			cfg.RestoreState(n.restoreBest.State, blocks)
+		var state []byte
+		if n.restoreBest != nil {
+			state = n.restoreBest.State
 		}
-		n.restoreBest, n.restoreBlocks, n.restoreFound = nil, nil, false
+		rep, err := statemachine.RestoreReplicaInto(cfg.State, state)
+		if err != nil {
+			return nil, fmt.Errorf("flo: state restore: %w", err)
+		}
+		for i := range blocks {
+			rep.Deliver(blocks[i].Signed.Header.Instance, blocks[i])
+		}
+		n.stateRep = rep
+		n.restoreBest, n.restoreBlocks = nil, nil
 	}
 	return n, nil
 }
@@ -490,9 +417,9 @@ func (n *Node) maybeCheckpoint(w uint32, round uint64) {
 		return
 	}
 	var state []byte
-	stateful := n.cfg.SnapshotState != nil
+	stateful := n.stateRep != nil
 	if stateful {
-		state = n.cfg.SnapshotState()
+		state = n.stateRep.Snapshot()
 	}
 	for v, lg := range n.logs {
 		stateRound := uint64(0)
@@ -658,14 +585,8 @@ func (n *Node) addWorker(w uint32) error {
 	wrbSvc.BindOBBC(obbcSvc)
 
 	var pool core.TxSource
-	if cfg.Saturate > 0 {
-		sat := workload.NewSaturatingSource(cfg.Saturate, uint64(n.id)*1000+uint64(w), int64(n.id)*striding+int64(w))
-		sat.SetCompressible(cfg.CompressibleLoad)
-		if cfg.KVLoad > 0 {
-			sat.SetKV(cfg.KVLoad)
-		}
-		n.sats = append(n.sats, sat)
-		pool = sat
+	if cfg.Source != nil {
+		pool = cfg.Source(w)
 	} else {
 		p := workload.NewPool(cfg.LeaseTimeout)
 		n.pools = append(n.pools, p)
@@ -684,27 +605,22 @@ func (n *Node) addWorker(w uint32) error {
 		snapPath := filepath.Join(cfg.DataDir, fmt.Sprintf("w%d.snap", w))
 		log, snap, replayed, err := store.OpenWorker(logPath, snapPath,
 			store.Options{
-				Registry:             cfg.Registry,
-				Instance:             w,
-				Sync:                 cfg.SyncWrites,
-				GroupCommit:          cfg.GroupCommit,
-				GroupCommitWindow:    cfg.GroupCommitWindow,
-				GroupCommitAdaptive:  cfg.GroupCommitAdaptive,
-				GroupCommitMaxWindow: cfg.GroupCommitMaxWindow,
+				Registry:    cfg.Registry,
+				Instance:    w,
+				Sync:        cfg.SyncWrites,
+				GroupCommit: cfg.SyncWrites,
 			})
 		if err != nil {
 			return fmt.Errorf("flo: worker %d store: %w", w, err)
 		}
 		preload = replayed
-		persist = log.Append
-		if cfg.SyncWrites && cfg.GroupCommit {
-			// Enqueue without waiting for the fsync: the committer acks
-			// batches in the background, validation errors still surface
-			// here, and I/O failures are sticky on the log.
-			persist = func(blk types.Block) error {
-				_, err := log.AppendAsync(blk)
-				return err
-			}
+		// Enqueue without waiting for the fsync (SyncWrites): the committer
+		// acks batches in the background, validation errors still surface
+		// here, and I/O failures are sticky on the log. Without SyncWrites
+		// the write happens inline, exactly as Append would do it.
+		persist = func(blk types.Block) error {
+			_, err := log.AppendAsync(blk)
+			return err
 		}
 		// The proposal log carries the one-signature-per-slot invariant
 		// across restarts (see store.ProposalLog).
@@ -719,27 +635,25 @@ func (n *Node) addWorker(w uint32) error {
 		n.propLogs = append(n.propLogs, props)
 		if snap != nil {
 			preloadBase, preloadHash = snap.BaseRound, snap.BaseHash
-			if cfg.RestoreState != nil || n.stateManaged {
-				// Accumulate for the unified post-addWorker restore: the
-				// freshest capture wins; each worker contributes its
-				// replayed rounds above its own snapshot's StateRound
-				// (those may still need re-applying).
-				n.restoreFound = true
-				if n.restoreBest == nil || snap.StateRound > n.restoreBest.StateRound {
+		}
+		if n.stateRep != nil {
+			// Accumulate for the unified post-addWorker restore: the
+			// freshest capture wins; each worker contributes its replayed
+			// rounds above its own snapshot's StateRound (those may still
+			// need re-applying) — its whole replayed log when it has no
+			// checkpoint yet (SnapshotEvery unset or first cycle incomplete).
+			var covered uint64
+			if snap != nil {
+				covered = snap.StateRound
+				if n.restoreBest == nil || covered > n.restoreBest.StateRound {
 					n.restoreBest = snap
 				}
-				for i := range replayed {
-					if replayed[i].Signed.Header.Round > snap.StateRound {
-						n.restoreBlocks = append(n.restoreBlocks, replayed[i])
-					}
+			}
+			for i := range replayed {
+				if replayed[i].Signed.Header.Round > covered {
+					n.restoreBlocks = append(n.restoreBlocks, replayed[i])
 				}
 			}
-		} else if n.stateManaged && len(replayed) > 0 {
-			// No checkpoint for this worker yet (e.g. SnapshotEvery unset or
-			// first cycle incomplete): the managed replica still has to
-			// re-apply the whole replayed log to reach the boot frontier.
-			n.restoreFound = true
-			n.restoreBlocks = append(n.restoreBlocks, replayed...)
 		}
 		// Seed the merged cursor at the boot frontier: restore re-applies
 		// every replayed round, so the application state already covers
@@ -829,8 +743,6 @@ func (n *Node) addWorker(w uint32) error {
 	n.rbs = append(n.rbs, rbSvc)
 	return nil
 }
-
-const striding = 7919 // distinct RNG seeds per node
 
 // onOrdered routes each atomically-ordered request to its consumer: an OBBC
 // fallback instance or a worker's recovery tracker.
@@ -962,10 +874,10 @@ func (n *Node) Stop() {
 // client's second hashed choice and takes the less loaded of the two — the
 // power-of-two-choices fallback, still O(1) and still deterministic per
 // client, so even an overloaded session touches at most two pools. It
-// errors when the node runs the saturating load model.
+// errors when the node draws its load from Config.Source.
 func (n *Node) Submit(tx types.Transaction) error {
 	if len(n.pools) == 0 {
-		return fmt.Errorf("flo: node runs the saturating load model; Submit is for client pools")
+		return fmt.Errorf("flo: node draws its load from Config.Source; Submit is for client pools")
 	}
 	if len(n.pools) == 1 {
 		n.pools[0].Add(tx)
@@ -999,7 +911,7 @@ func affinity(client, salt uint64, n int) int {
 }
 
 // PoolPending reports the client transactions waiting or leased across this
-// node's worker pools (0 in saturating mode) — a liveness probe for "is
+// node's worker pools (0 with Config.Source) — a liveness probe for "is
 // this write still in the system or was it dropped".
 func (n *Node) PoolPending() int {
 	total := 0

@@ -11,6 +11,7 @@ import (
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // testWorkers returns the cluster tests' ω: 1 by default, overridden by
@@ -46,7 +47,7 @@ func newCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) *cluster {
 			Priv:         c.ks.Privs[i],
 			Workers:      testWorkers(),
 			BatchSize:    10,
-			Saturate:     64,
+			Source:       workload.Saturating(flcrypto.NodeID(i), 64),
 			InitialTimer: 50 * time.Millisecond,
 			ViewTimeout:  300 * time.Millisecond,
 		}
@@ -186,7 +187,7 @@ func TestFLOMultiWorker(t *testing.T) {
 func TestFLOClientPoolNonTriviality(t *testing.T) {
 	// Client-submitted transactions must reach definite non-empty blocks
 	// (the Non-Triviality requirement of §3.3).
-	c := newCluster(t, 4, func(i int, cfg *Config) { cfg.Saturate = 0 })
+	c := newCluster(t, 4, func(i int, cfg *Config) { cfg.Source = nil })
 	const k = 50
 	for j := 0; j < k; j++ {
 		tx := types.Transaction{Client: 42, Seq: uint64(j + 1), Payload: []byte(fmt.Sprintf("op-%d", j))}

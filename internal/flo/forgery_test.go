@@ -9,6 +9,7 @@ import (
 	"repro/internal/obbc"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // TestForgedEnvelopesRejectedOnEveryPath drives the acceptance criterion of
@@ -45,7 +46,7 @@ func TestForgedEnvelopesRejectedOnEveryPath(t *testing.T) {
 			Priv:         ks.Privs[i],
 			Workers:      1,
 			BatchSize:    10,
-			Saturate:     64,
+			Source:       workload.Saturating(flcrypto.NodeID(i), 64),
 			InitialTimer: 50 * time.Millisecond,
 		})
 		if err != nil {

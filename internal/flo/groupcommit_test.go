@@ -8,12 +8,13 @@ import (
 
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
-// TestFLOGroupCommitRestart runs a durable cluster in group-commit mode,
-// restarts it from disk, and checks the definite prefix survives and the
-// chain keeps growing — the end-to-end proof that batched fsyncs do not
-// weaken the restart path.
+// TestFLOGroupCommitRestart runs a durable cluster — SyncWrites alone must
+// yield a group-commit log — restarts it from disk, and checks the definite
+// prefix survives and the chain keeps growing: the end-to-end proof that
+// batched fsyncs do not weaken the restart path.
 func TestFLOGroupCommitRestart(t *testing.T) {
 	const n = 4
 	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
@@ -32,10 +33,9 @@ func TestFLOGroupCommitRestart(t *testing.T) {
 				Priv:         ks.Privs[i],
 				Workers:      1,
 				BatchSize:    5,
-				Saturate:     32,
+				Source:       workload.Saturating(flcrypto.NodeID(i), 32),
 				DataDir:      dirs[i],
 				SyncWrites:   true,
-				GroupCommit:  true,
 				InitialTimer: 50 * time.Millisecond,
 			})
 			if err != nil {
@@ -81,8 +81,14 @@ func TestFLOGroupCommitRestart(t *testing.T) {
 		}
 		preHashes[i] = h
 	}
-	for _, node := range nodes {
+	for i, node := range nodes {
 		node.Stop()
+		// Stop drained the committer: everything persisted went through it.
+		stats := node.logs[0].GroupCommitStats()
+		if stats.Batches == 0 || stats.Items < preTips[i] {
+			t.Fatalf("node %d: SyncWrites log fsynced %d frames in %d batches, want >= %d through group commit",
+				i, stats.Items, stats.Batches, preTips[i])
+		}
 	}
 	net.Close()
 

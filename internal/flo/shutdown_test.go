@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // TestStopLeaksNoGoroutines is the shutdown regression test: a full
@@ -40,7 +41,7 @@ func TestStopLeaksNoGoroutines(t *testing.T) {
 			Priv:         ks.Privs[i],
 			Workers:      3, // multiple workers = multiple rbroadcast services
 			BatchSize:    10,
-			Saturate:     64,
+			Source:       workload.Saturating(flcrypto.NodeID(i), 64),
 			InitialTimer: 20 * time.Millisecond,
 		})
 		if err != nil {

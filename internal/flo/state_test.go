@@ -11,13 +11,18 @@ import (
 	"repro/internal/flcrypto"
 	"repro/internal/statemachine"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
-// runManagedStateRestore is the Config.State counterpart of
-// runSnapshotStateRestore: the node owns the replica (snapshot capture at
-// the merge point, restore from checkpoint + replayed-suffix re-delivery),
-// and the test only opens backends. Half the cluster runs the map backend,
-// half the durable one — at equal positions their replica snapshots must be
+// runManagedStateRestore runs the full checkpoint loop at a given ω: every
+// node applies the merged stream to its Config.State replica, whose snapshot
+// rides in the worker checkpoints (capture at the merge point); the whole
+// cluster is stopped and rebooted from disk; the restored replicas
+// (checkpoint + replayed-suffix re-delivery + live deliveries) must converge
+// to identical state at identical positions — i.e. compaction loses no
+// transactions and double-applies none, and at ω>1 the merged stream resumes
+// gap-free across every worker. Half the cluster runs the map backend, half
+// the durable one — at equal positions their replica snapshots must be
 // byte-identical, which is exactly what lets a checkpoint written by one
 // backend restore into the other.
 func runManagedStateRestore(t *testing.T, workers int) {
@@ -52,7 +57,7 @@ func runManagedStateRestore(t *testing.T, workers int) {
 				Priv:          ks.Privs[i],
 				Workers:       workers,
 				BatchSize:     4,
-				Saturate:      32,
+				Source:        workload.Saturating(flcrypto.NodeID(i), 32),
 				DataDir:       dirs[i],
 				SnapshotEvery: 5,
 				CatchUpBatch:  8,
@@ -95,7 +100,16 @@ func runManagedStateRestore(t *testing.T, workers int) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("managed replicas stalled before position %d", target)
+				var state []string
+				for i, node := range w.nodes {
+					for wk := 0; wk < workers; wk++ {
+						chain, m := node.Worker(wk).Chain(), node.Worker(wk).Metrics()
+						state = append(state, fmt.Sprintf("node%d/w%d pos=%d base=%d def=%d tip=%d rreq=%d rblk=%d breq=%d",
+							i, wk, node.State().Position(uint32(wk)), chain.Base(), chain.Definite(), chain.Tip(),
+							m.CatchUpRangeReqs.Load(), m.CatchUpRangeBlocks.Load(), m.CatchUpBlockReqs.Load()))
+					}
+				}
+				t.Fatalf("managed replicas stalled before position %d: %v", target, state)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -126,12 +140,20 @@ func runManagedStateRestore(t *testing.T, workers int) {
 		rep := node.State()
 		var sum uint64
 		for wk := 0; wk < workers; wk++ {
-			sum += rep.Position(uint32(wk))
+			pos := rep.Position(uint32(wk))
+			if pos < 24 {
+				t.Fatalf("node %d replica stalled at position %d on worker %d", i, pos, wk)
+			}
+			sum += pos
 		}
 		// Every block under the saturating model carries exactly BatchSize
 		// transactions; a gap or double-apply across the reboot breaks this.
 		if got, want := rep.State().Applied(), 4*sum; got != want {
 			t.Fatalf("node %d applied %d txs at summed position %d, want %d", i, got, sum, want)
+		}
+		// The restored merged cursor kept advancing past the reboot.
+		if _, round := rep.Cursor(); round < 17 {
+			t.Fatalf("node %d merged cursor stuck at round %d after restart", i, round)
 		}
 	}
 	// Replica snapshots at equal positions are byte-identical across nodes —
@@ -177,25 +199,6 @@ func TestFLOManagedStateRestore(t *testing.T) {
 // no worker's rounds lost or double-applied.
 func TestFLOManagedStateRestoreMultiWorker(t *testing.T) {
 	runManagedStateRestore(t, 4)
-}
-
-// TestManagedStateConfigExclusive pins the Config contract: State and the
-// SnapshotState/RestoreState callbacks are mutually exclusive.
-func TestManagedStateConfigExclusive(t *testing.T) {
-	const n = 4
-	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
-	net := transport.NewChanNetwork(transport.ChanConfig{N: n})
-	defer net.Close()
-	_, err := NewNode(Config{
-		Endpoint:      net.Endpoint(0),
-		Registry:      ks.Registry,
-		Priv:          ks.Privs[0],
-		State:         statemachine.NewKV(),
-		SnapshotState: func() []byte { return nil },
-	})
-	if err == nil {
-		t.Fatal("State + SnapshotState accepted")
-	}
 }
 
 // TestStateReadTokenValidation: a read token naming a worker the node does

@@ -21,6 +21,7 @@ import (
 	"repro/internal/statemachine"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // Options parameterizes one cluster run. Field names follow Table 2.
@@ -285,29 +286,34 @@ func RunFLO(opts Options) Result {
 			correct = append(correct, i)
 		}
 		cfg := flo.Config{
-			Endpoint:           net.Endpoint(flcrypto.NodeID(i)),
-			Registry:           ks.Registry,
-			Priv:               ks.Privs[i],
-			Workers:            opts.Workers,
-			BatchSize:          opts.Batch,
-			Saturate:           opts.TxSize,
-			Equivocate:         byz,
-			EpochLen:           opts.EpochLen,
-			InitialTimer:       opts.InitialTimer,
-			MaxPending:         opts.MaxPending,
-			DisablePiggyback:   opts.DisablePiggyback,
-			FDThreshold:        opts.FDThreshold,
-			GossipBodies:       opts.GossipBodies,
-			GossipFanout:       opts.GossipFanout,
-			CompressBodies:     opts.CompressBodies,
-			CompressibleLoad:   opts.CompressibleLoad,
-			ExcludeConvicted:   opts.ExcludeConvicted,
-			SyncVerify:         opts.SyncVerify,
-			DisableBatchVerify: opts.DisableBatchVerify,
-			State:              openState(i),
+			Endpoint:         net.Endpoint(flcrypto.NodeID(i)),
+			Registry:         ks.Registry,
+			Priv:             ks.Privs[i],
+			Workers:          opts.Workers,
+			BatchSize:        opts.Batch,
+			Equivocate:       byz,
+			EpochLen:         opts.EpochLen,
+			InitialTimer:     opts.InitialTimer,
+			MaxPending:       opts.MaxPending,
+			DisablePiggyback: opts.DisablePiggyback,
+			FDThreshold:      opts.FDThreshold,
+			GossipBodies:     opts.GossipBodies,
+			GossipFanout:     opts.GossipFanout,
+			CompressBodies:   opts.CompressBodies,
+			ExcludeConvicted: opts.ExcludeConvicted,
+			SyncVerify:       opts.SyncVerify,
+			State:            openState(i),
 		}
-		if cfg.State != nil {
-			cfg.KVLoad = opts.StateKeys
+		cfg.Source = workload.Saturating(flcrypto.NodeID(i), opts.TxSize, func(s *workload.SaturatingSource) {
+			s.SetCompressible(opts.CompressibleLoad)
+			if cfg.State != nil {
+				s.SetKV(opts.StateKeys)
+			}
+		})
+		if opts.DisableBatchVerify {
+			pool := flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{DisableBatch: true})
+			defer pool.Close()
+			cfg.VerifyPool = pool
 		}
 		if i == 0 && !byz {
 			// Node 0 instruments the timeline and the latency histogram.

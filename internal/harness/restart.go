@@ -10,6 +10,7 @@ import (
 	"repro/internal/flcrypto"
 	"repro/internal/flo"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // RestartOptions parameterizes the kill-and-restart-under-load experiment:
@@ -104,7 +105,7 @@ func RunRestart(opts RestartOptions) (RestartResult, error) {
 			Priv:          ks.Privs[i],
 			Workers:       1,
 			BatchSize:     opts.Batch,
-			Saturate:      opts.TxSize,
+			Source:        workload.Saturating(flcrypto.NodeID(i), opts.TxSize),
 			DataDir:       filepath.Join(opts.DataDir, fmt.Sprintf("node%d", i)),
 			CatchUpBatch:  opts.CatchUpBatch,
 			SnapshotEvery: opts.SnapshotEvery,

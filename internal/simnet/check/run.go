@@ -15,6 +15,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/statemachine"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // RunOpts tune one scenario execution.
@@ -52,6 +53,12 @@ type Cluster struct {
 	states []*statemachine.Durable
 	// stateSeq numbers the runner's client KV submissions.
 	stateSeq uint64
+
+	// pools holds each node's verify pool when the scenario widens the
+	// batch-fill pacing (Scenario.VerifyMinWait/VerifyMaxWait); nil
+	// otherwise — nodes then own a pool at the production defaults. A pool
+	// outlives its node's restarts.
+	pools []*flcrypto.VerifyPool
 
 	dirs []string
 	logf func(format string, args ...any)
@@ -100,6 +107,16 @@ func Run(sc Scenario, opts RunOpts) error {
 			}
 			c.dirs[i] = dir
 			defer os.RemoveAll(dir)
+		}
+	}
+	if sc.VerifyMinWait > 0 || sc.VerifyMaxWait > 0 {
+		c.pools = make([]*flcrypto.VerifyPool, sc.N)
+		for i := range c.pools {
+			c.pools[i] = flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{
+				MinBatchWait: sc.VerifyMinWait,
+				MaxBatchWait: sc.VerifyMaxWait,
+			})
+			defer c.pools[i].Close()
 		}
 	}
 	if sc.Stateful {
@@ -196,7 +213,7 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 		Priv:         c.KS.Privs[i],
 		Workers:      sc.Workers,
 		BatchSize:    sc.BatchSize,
-		Saturate:     sc.TxSize,
+		Source:       workload.Saturating(flcrypto.NodeID(i), sc.TxSize),
 		Equivocate:   sc.equivocator(i),
 		CatchUpBatch: sc.CatchUpBatch,
 		InitialTimer: 25 * time.Millisecond,
@@ -208,8 +225,9 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 		},
 		SnapshotEvery:  sc.SnapshotEvery,
 		SnapChunkBytes: sc.SnapChunkBytes,
-		VerifyMinWait:  sc.VerifyMinWait,
-		VerifyMaxWait:  sc.VerifyMaxWait,
+	}
+	if c.pools != nil {
+		cfg.VerifyPool = c.pools[i]
 	}
 	if sc.forger(i) {
 		// Every signature this node emits is corrupted in place: envelopes
@@ -223,12 +241,12 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 	}
 	if sc.Stateful {
 		// Client pools instead of the saturating source (Submit and
-		// Saturate are mutually exclusive), and a durable queryable
+		// Source are mutually exclusive), and a durable queryable
 		// backend whose snapshot rides in the worker checkpoints. The
 		// reopen truncates the backend file, so a restarted node's state
 		// is whatever the checkpoint restore rebuilds — the path under
 		// test.
-		cfg.Saturate = 0
+		cfg.Source = nil
 		if sc.MapState {
 			// In-memory backend: a restart starts from a genuinely empty
 			// map, so recovered state can only come from checkpoint restore

@@ -143,7 +143,8 @@ type Scenario struct {
 	// arrival rates holds on WAN round-trips, not just loopback.
 	Geo float64
 	// VerifyMinWait/VerifyMaxWait override the verify pools' batch-fill
-	// pacing (flo.Config passthrough). Scenarios that assert batch
+	// pacing: the runner builds each node's pool from these
+	// (flcrypto.PoolOptions) and injects it. Scenarios that assert batch
 	// formation widen these: simulated latency jitter spreads a round's
 	// envelope burst over a few milliseconds, more than the
 	// production-default grace period bothers to bridge.

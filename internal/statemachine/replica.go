@@ -33,8 +33,8 @@ type Replica struct {
 	// (curW, curRound) is the explicit merged-stream cursor: the position of
 	// the most recent block applied in the merged (round, worker) order. It
 	// rides in Snapshot, so a restored replica knows exactly where in the
-	// merged stream its state sits — the property flo needs to allow
-	// SnapshotState with ω > 1.
+	// merged stream its state sits — the property flo needs to checkpoint
+	// state with ω > 1.
 	curW     uint32
 	curRound uint64
 

@@ -19,9 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/flcrypto"
 	"repro/internal/metrics"
 	"repro/internal/types"
@@ -154,22 +152,10 @@ type Options struct {
 	// land while a sync is in flight join the next batch, and waiters are
 	// acked once their batch is durable. Sequential blocking appenders see
 	// per-append durability unchanged; pipelined appenders (AppendAsync)
-	// amortize the fsync across the whole batch. Ignored without Sync.
+	// amortize the fsync across the whole batch. The flush never holds a
+	// batch open: a lone append syncs at once, and batches form from the
+	// appends that arrive during the previous fsync. Ignored without Sync.
 	GroupCommit bool
-	// GroupCommitWindow optionally delays each flush to let more appends
-	// join the batch. The default (0) adds no artificial latency — batches
-	// form naturally from appends arriving during the previous fsync.
-	// Setting it is a static override: it disables GroupCommitAdaptive.
-	GroupCommitWindow time.Duration
-	// GroupCommitAdaptive sizes the flush delay from the observed append
-	// arrival rate instead of a fixed window: when appends are arriving
-	// fast enough to fill a batch within GroupCommitMaxWindow, the flush
-	// waits the projected fill time (capped there); when the log is quiet
-	// it waits nothing at all, so a lone append still syncs immediately.
-	// Ignored when GroupCommitWindow is set explicitly.
-	GroupCommitAdaptive bool
-	// GroupCommitMaxWindow caps the adaptive flush delay (default 2ms).
-	GroupCommitMaxWindow time.Duration
 	// GroupCommitMaxBatch caps the frames per fsync (default 256).
 	GroupCommitMaxBatch int
 	// Registry, when non-nil, verifies block signatures during replay so a
@@ -247,13 +233,7 @@ func openAt(path string, opts Options, base uint64, baseHash flcrypto.Hash) (*Bl
 		if maxBatch <= 0 {
 			maxBatch = 256
 		}
-		// An explicit static window overrides the adaptive controller.
-		adapt := opts.GroupCommitAdaptive && opts.GroupCommitWindow == 0
-		maxWindow := opts.GroupCommitMaxWindow
-		if maxWindow <= 0 {
-			maxWindow = DefaultGroupCommitMaxWindow
-		}
-		log.gc = newGroupCommitter(log, opts.GroupCommitWindow, maxWindow, adapt, maxBatch)
+		log.gc = newGroupCommitter(log, maxBatch)
 	}
 	return log, blocks, nil
 }
@@ -398,20 +378,11 @@ type gcBatch struct {
 	err   error
 }
 
-// DefaultGroupCommitMaxWindow caps the adaptive flush delay when
-// Options.GroupCommitMaxWindow is unset: long enough to grow real batches
-// under load, far below any round timeout.
-const DefaultGroupCommitMaxWindow = 2 * time.Millisecond
-
 // groupCommitter owns the background flush loop of a group-commit log.
 type groupCommitter struct {
-	l         *BlockLog
-	window    time.Duration // static flush delay (0 = none)
-	adapt     bool          // size the delay from the observed append rate
-	maxWindow time.Duration // adaptive delay cap
-	arrivals  adaptive.Rate
-	maxBatch  int
-	stats     metrics.BatchStats
+	l        *BlockLog
+	maxBatch int
+	stats    metrics.BatchStats
 
 	// cur and sealed are guarded by l.mu (appends already hold it).
 	cur    *gcBatch
@@ -431,16 +402,13 @@ type groupCommitter struct {
 	stopOnce sync.Once
 }
 
-func newGroupCommitter(l *BlockLog, window, maxWindow time.Duration, adapt bool, maxBatch int) *groupCommitter {
+func newGroupCommitter(l *BlockLog, maxBatch int) *groupCommitter {
 	gc := &groupCommitter{
-		l:         l,
-		window:    window,
-		adapt:     adapt,
-		maxWindow: maxWindow,
-		maxBatch:  maxBatch,
-		kickCh:    make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		l:        l,
+		maxBatch: maxBatch,
+		kickCh:   make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go gc.run()
 	return gc
@@ -470,9 +438,6 @@ func (gc *groupCommitter) oldestDoneLocked() <-chan struct{} {
 
 // enqueueLocked appends blk's frame to the open batch. Callers hold l.mu.
 func (gc *groupCommitter) enqueueLocked(blk types.Block) *gcBatch {
-	if gc.adapt {
-		gc.arrivals.Observe(time.Now())
-	}
 	if gc.cur == nil {
 		gc.cur = &gcBatch{done: make(chan struct{})}
 	}
@@ -506,34 +471,8 @@ func (gc *groupCommitter) run() {
 			return
 		case <-gc.kickCh:
 		}
-		if w := gc.flushDelay(); w > 0 {
-			t := time.NewTimer(w)
-			select {
-			case <-gc.stop:
-				t.Stop()
-				gc.flush()
-				return
-			case <-t.C:
-			}
-		}
 		gc.flush()
 	}
-}
-
-// flushDelay is how long the flush loop should hold the open batch after a
-// kick. Static-window mode returns the configured window; adaptive mode
-// projects from the observed append rate how long filling a maxBatch-sized
-// batch would take and waits that (capped at maxWindow) — but waits nothing
-// when the rate is unknown or too low to fill a batch within the cap, so a
-// lone append in a quiet system fsyncs without artificial latency.
-func (gc *groupCommitter) flushDelay() time.Duration {
-	if !gc.adapt {
-		return gc.window
-	}
-	gc.l.mu.Lock()
-	pending := gc.pendingFramesLocked()
-	gc.l.mu.Unlock()
-	return adaptive.FillWait(&gc.arrivals, pending, gc.maxBatch, 0, gc.maxWindow)
 }
 
 // flush drains every sealed and open batch, writes them with one buffered

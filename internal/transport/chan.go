@@ -266,6 +266,12 @@ type linkQueue struct {
 	mu    sync.Mutex
 	queue []Message
 	last  time.Time // monotone delivery horizon for the link
+
+	// deliver serializes whole deliveries on the link — pop, fault re-check,
+	// trace, and mailbox put — so two releasers that pop in order cannot put
+	// out of order. Taken before mu, never while holding it; senders only
+	// ever wait on mu.
+	deliver sync.Mutex
 }
 
 func (e *chanEndpoint) ID() flcrypto.NodeID { return e.id }
@@ -360,6 +366,8 @@ func (e *chanEndpoint) enqueue(to flcrypto.NodeID, payload []byte, sendDone time
 // schedules exactly one deliverHead, so counts match; taking the head keeps
 // the link FIFO regardless of timer callback scheduling order.
 func (e *chanEndpoint) deliverHead(to flcrypto.NodeID, lq *linkQueue) {
+	lq.deliver.Lock()
+	defer lq.deliver.Unlock()
 	lq.mu.Lock()
 	if len(lq.queue) == 0 {
 		lq.mu.Unlock()

@@ -54,9 +54,14 @@ func TestTCPCoalescedFlush(t *testing.T) {
 		}
 	}
 
+	// A flush is recorded after its write returns, so the receiver can drain
+	// the last frames before the sender's stat exists: wait for it.
 	stats := ep0.FlushStats()
-	if stats.Items < k {
-		t.Fatalf("flush stats cover %d frames, want >= %d", stats.Items, k)
+	for deadline := time.Now().Add(5 * time.Second); stats.Items < k; stats = ep0.FlushStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("flush stats cover %d frames, want >= %d", stats.Items, k)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if stats.Batches >= k {
 		t.Fatalf("%d flushes for %d frames: no coalescing happened", stats.Batches, k)

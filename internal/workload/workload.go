@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flcrypto"
 	"repro/internal/statemachine"
 	"repro/internal/types"
@@ -204,6 +205,20 @@ type SaturatingSource struct {
 // transactions.
 func NewSaturatingSource(size int, client uint64, seed int64) *SaturatingSource {
 	return &SaturatingSource{gen: NewGenerator(size, client, seed)}
+}
+
+// Saturating is the §7.2 load model as a flo.Config.Source for node: each
+// worker draws size-byte transactions from its own SaturatingSource, seeded
+// per (node, worker) so no two pipelines of a cluster emit the same stream.
+// tune, when given, adjusts each source before use (SetCompressible, SetKV).
+func Saturating(node flcrypto.NodeID, size int, tune ...func(*SaturatingSource)) func(worker uint32) core.TxSource {
+	return func(w uint32) core.TxSource {
+		s := NewSaturatingSource(size, uint64(node)*1000+uint64(w), int64(node)*7919+int64(w))
+		for _, f := range tune {
+			f(s)
+		}
+		return s
+	}
 }
 
 // SetCompressible switches payload content to compressible text (see

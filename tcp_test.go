@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/flcrypto"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // TestTCPClusterEndToEnd runs a full 4-node FLO cluster over real loopback
@@ -49,7 +50,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			Priv:         ks.Privs[i],
 			Workers:      1,
 			BatchSize:    10,
-			Saturate:     64,
+			Source:       workload.Saturating(NodeID(i), 64),
 			InitialTimer: 200 * time.Millisecond,
 		})
 		if err != nil {
