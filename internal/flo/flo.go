@@ -399,166 +399,6 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// maybeCheckpoint runs on the merge point's delivery goroutine after each
-// merged delivery: when the last worker's block completes a checkpoint
-// cycle, it captures the application state once and checkpoints every
-// worker's log — each snapshot anchored at that worker's last merged-
-// delivered round, so restore knows exactly which replayed rounds the state
-// does not cover. A checkpoint failure is sticky (CheckpointErr) and
-// disables further checkpoints; delivery itself continues.
-func (n *Node) maybeCheckpoint(w uint32, round uint64) {
-	if n.retain == 0 || len(n.logs) != len(n.workers) {
-		return
-	}
-	if int(w) != len(n.workers)-1 || round%n.cfg.SnapshotEvery != 0 {
-		return
-	}
-	if n.ckptErr.Load() != nil {
-		return
-	}
-	var state []byte
-	stateful := n.stateRep != nil
-	if stateful {
-		state = n.stateRep.Snapshot()
-	}
-	for v, lg := range n.logs {
-		stateRound := uint64(0)
-		if stateful {
-			stateRound = n.merger.lastDelivered[v]
-		}
-		if err := lg.Checkpoint(n.snapPaths[v], uint32(v), stateRound, state, n.retain); err != nil {
-			n.ckptErr.Store(fmt.Errorf("flo: worker %d checkpoint: %w", v, err))
-			return
-		}
-		// Refresh the donation cache from disk (Checkpoint may have no-oped
-		// when the anchor would not advance; the file is always the truth).
-		if s, ok, err := store.LoadSnapshot(n.snapPaths[v]); err == nil && ok {
-			n.snapMu.Lock()
-			n.snapLive[v] = &s
-			n.snapMu.Unlock()
-		}
-		// Compact the live in-memory chain to the durable anchor: past this
-		// point the retained window bounds what this node range-serves, and
-		// a peer that fell below it is rescued by snapshot transfer.
-		if err := n.workers[v].CompactTo(lg.Base()); err != nil {
-			n.ckptErr.Store(fmt.Errorf("flo: worker %d compact: %w", v, err))
-			return
-		}
-	}
-}
-
-// latestSnapshot returns worker w's freshest checkpoint for donation to a
-// stranded peer (core.Instance.BindSnapshots provide hook).
-func (n *Node) latestSnapshot(w uint32) (store.Snapshot, bool) {
-	n.snapMu.Lock()
-	defer n.snapMu.Unlock()
-	if int(w) >= len(n.snapLive) || n.snapLive[w] == nil {
-		return store.Snapshot{}, false
-	}
-	return *n.snapLive[w], true
-}
-
-// installSnapshot atomically adopts a verified remote checkpoint for worker w
-// — the final step of a snapshot transfer, after core/snapsync.go has hash-
-// verified the payload and attested its chain anchor against f+1 peers. The
-// ordering is crash-safe: the snapshot lands on disk first, then the log is
-// truncated to the new base, then the in-memory chain and replica jump
-// forward. A crash between the first two steps leaves a fresh snapshot over
-// an old log, which restart replay handles by skimming the pre-anchor frames.
-func (n *Node) installSnapshot(w uint32, snap store.Snapshot) error {
-	n.installMu.Lock()
-	defer n.installMu.Unlock()
-	if int(w) >= len(n.workers) || snap.Instance != w {
-		return fmt.Errorf("flo: snapshot for worker %d cannot install on worker %d", snap.Instance, w)
-	}
-	inst := n.workers[w]
-	if tip := inst.Chain().Tip(); snap.BaseRound <= tip {
-		return fmt.Errorf("flo: worker %d snapshot base %d not ahead of local tip %d", w, snap.BaseRound, tip)
-	}
-
-	// Decide what happens to the shared application replica before touching
-	// anything: an install that would leave an unapplied hole between the
-	// replica's position and the new chain base must fail outright (the
-	// transfer loop renegotiates a fresher checkpoint).
-	resetState := false
-	var statePos map[uint32]uint64
-	if len(snap.State) > 0 {
-		if n.stateRep == nil {
-			return fmt.Errorf("flo: worker %d snapshot carries application state but the node runs no managed State backend", w)
-		}
-		pos, err := statemachine.SnapshotPositions(snap.State)
-		if err != nil {
-			return fmt.Errorf("flo: worker %d snapshot state: %w", w, err)
-		}
-		fresher := true
-		for v := range n.workers {
-			if pos[uint32(v)] < n.stateRep.Position(uint32(v)) {
-				fresher = false
-				break
-			}
-		}
-		switch {
-		case fresher:
-			resetState, statePos = true, pos
-		case n.stateRep.Position(w) >= snap.BaseRound:
-			// A concurrent install (another worker's transfer landed first)
-			// already reset the replica to a fresher capture that covers this
-			// worker beyond the new base: keep the fresher state, reset only
-			// chain and log — idempotent delivery skips the overlap.
-		default:
-			return fmt.Errorf("flo: worker %d snapshot state (through round %d) is stale yet the replica (at %d) does not cover the new base %d",
-				w, snap.StateRound, n.stateRep.Position(w), snap.BaseRound)
-		}
-	} else if n.stateRep != nil && n.stateRep.Position(w) < snap.BaseRound {
-		return fmt.Errorf("flo: worker %d stateless snapshot would strand the replica at round %d below base %d",
-			w, n.stateRep.Position(w), snap.BaseRound)
-	}
-
-	if len(n.logs) > int(w) {
-		if err := store.WriteSnapshot(n.snapPaths[w], snap); err != nil {
-			return fmt.Errorf("flo: worker %d snapshot install: %w", w, err)
-		}
-		if err := n.logs[w].ResetToBase(snap.BaseRound); err != nil {
-			return fmt.Errorf("flo: worker %d log reset: %w", w, err)
-		}
-	}
-	if err := inst.AdoptSnapshot(snap.BaseRound, snap.BaseHash); err != nil {
-		return fmt.Errorf("flo: worker %d chain adopt: %w", w, err)
-	}
-	// Fence the merge point before announcing the install: pre-install
-	// blocks of this worker still queued (or in flight to enqueue) must not
-	// surface after consumers learn the stream resumes at base+1.
-	n.merger.advanceBase(w, snap.BaseRound)
-	if resetState {
-		if err := n.stateRep.Reset(snap.State); err != nil {
-			return fmt.Errorf("flo: worker %d state reset: %w", w, err)
-		}
-		// The installed state covers every worker through its captured
-		// position; anchor the merged cursor there so the next checkpoint's
-		// StateRound does not undershoot what the state already holds.
-		for v, r := range statePos {
-			n.merger.bump(v, r)
-		}
-	}
-	n.snapMu.Lock()
-	s := snap
-	n.snapLive[w] = &s
-	n.snapMu.Unlock()
-	if n.cfg.OnSnapshotInstall != nil {
-		n.cfg.OnSnapshotInstall(w, snap.BaseRound)
-	}
-	return nil
-}
-
-// CheckpointErr reports the first merge-point checkpoint failure, if any
-// (checkpointing stops after it; the chain and delivery continue).
-func (n *Node) CheckpointErr() error {
-	if err, ok := n.ckptErr.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
 func (n *Node) addWorker(w uint32) error {
 	base := protoWorkerBase + transport.ProtoID(protosPerWorker*w)
 	cfg := n.cfg
@@ -1011,149 +851,4 @@ func (n *Node) StateWatch(ctx context.Context, key string, worker uint32, round 
 	ch, cancel := rep.WatchKey(key)
 	stop := context.AfterFunc(ctx, cancel)
 	return ch, func() { stop(); cancel() }, nil
-}
-
-// merger implements §6.2's pre-defined-order collection: the k-th delivery
-// cycle emits each worker's k-th definite block, worker 0 first. A single
-// slow worker therefore delays the merged log — exactly the latency effect
-// the paper discusses.
-//
-// The merge point is deliberately lock-light: each worker's pipeline
-// (verify → apply → persist) runs upstream on its own goroutines and hands
-// only finished blocks to enqueue, which never waits for a delivery in
-// progress. Whoever wins emitMu.TryLock becomes the single emitter and
-// drains every ready run in the global order; losers return immediately.
-type merger struct {
-	mu     sync.Mutex // guards queues, cursor, and floor
-	emitMu sync.Mutex // held by the single active emitter (TryLock only)
-	queues [][]types.Block
-	cursor int // next worker to emit from
-	// floor[w] is worker w's snapshot-install base: rounds at or below it
-	// are covered by installed state and must never reach the merged
-	// stream — an already-queued (or still in-pipeline) pre-install block
-	// emitted after the install would reorder the stream the consumers
-	// observed. Set only by advanceBase.
-	floor []uint64
-	// lastDelivered[w] is worker w's last merged-delivered round — the
-	// explicit merged cursor. Seeded once at NewNode time with each
-	// worker's replayed boot frontier, then written and read only by the
-	// active emitter (under emitMu).
-	lastDelivered []uint64
-	deliver       func(uint32, types.Block)
-	delivered     atomic.Uint64
-	txs           atomic.Uint64
-}
-
-func newMerger(workers int, deliver func(uint32, types.Block)) *merger {
-	return &merger{
-		queues:        make([][]types.Block, workers),
-		floor:         make([]uint64, workers),
-		lastDelivered: make([]uint64, workers),
-		deliver:       deliver,
-	}
-}
-
-// advanceBase fences the merge point for a snapshot install at base: every
-// queued block of worker w at or below base is purged, later arrivals at or
-// below base are dropped at enqueue (floor), and the merged cursor jumps to
-// base. emitMu is taken first so an emitter mid-delivery finishes before the
-// fence — after advanceBase returns, no pre-install block of w can ever be
-// emitted, so the install notification the caller fires next is a true
-// linearization point in the merged stream.
-func (m *merger) advanceBase(w uint32, base uint64) {
-	m.emitMu.Lock()
-	m.mu.Lock()
-	if base > m.floor[w] {
-		m.floor[w] = base
-	}
-	kept := m.queues[w][:0]
-	for _, blk := range m.queues[w] {
-		if blk.Signed.Header.Round > base {
-			kept = append(kept, blk)
-		}
-	}
-	m.queues[w] = kept
-	m.mu.Unlock()
-	if base > m.lastDelivered[w] {
-		m.lastDelivered[w] = base
-	}
-	m.emitMu.Unlock()
-}
-
-// bump raises worker w's merged cursor to at least r after a snapshot
-// install: the installed state covers w through r, and a checkpoint taken
-// before w's first post-install delivery must not anchor its StateRound
-// below that. Takes emitMu to serialize with the active emitter (installs
-// are rare; the emitter is idle on a stranded node anyway).
-func (m *merger) bump(w uint32, r uint64) {
-	m.emitMu.Lock()
-	if r > m.lastDelivered[w] {
-		m.lastDelivered[w] = r
-	}
-	m.emitMu.Unlock()
-}
-
-// enqueue returns worker w's OnDecide callback: append the block, then
-// drain without ever blocking on an in-flight delivery — per-worker
-// pipelines stay decoupled all the way to the merge point.
-func (m *merger) enqueue(w uint32) func(types.Block) {
-	return func(blk types.Block) {
-		m.mu.Lock()
-		if blk.Signed.Header.Round <= m.floor[w] {
-			// Pre-install straggler (see advanceBase): its rounds are
-			// covered by the installed state.
-			m.mu.Unlock()
-			return
-		}
-		m.queues[w] = append(m.queues[w], blk)
-		m.mu.Unlock()
-		m.drain()
-	}
-}
-
-// drain elects this goroutine the emitter if none is active and delivers
-// every ready run. The post-unlock re-check closes the lost-wakeup window:
-// an enqueue that appended its block while we held emitMu and then failed
-// its own TryLock is guaranteed to be observed here, because its append
-// happened before its failed TryLock, which happened before our unlock and
-// therefore before our re-check.
-func (m *merger) drain() {
-	for {
-		if !m.emitMu.TryLock() {
-			return // the active emitter will observe the new block
-		}
-		for {
-			m.mu.Lock()
-			var ready []struct {
-				w   uint32
-				blk types.Block
-			}
-			for len(m.queues[m.cursor]) > 0 {
-				next := m.queues[m.cursor][0]
-				m.queues[m.cursor] = m.queues[m.cursor][1:]
-				ready = append(ready, struct {
-					w   uint32
-					blk types.Block
-				}{uint32(m.cursor), next})
-				m.cursor = (m.cursor + 1) % len(m.queues)
-			}
-			m.mu.Unlock()
-			if len(ready) == 0 {
-				break
-			}
-			for _, r := range ready {
-				m.lastDelivered[r.w] = r.blk.Signed.Header.Round
-				m.delivered.Add(1)
-				m.txs.Add(uint64(len(r.blk.Body.Txs)))
-				m.deliver(r.w, r.blk)
-			}
-		}
-		m.emitMu.Unlock()
-		m.mu.Lock()
-		again := len(m.queues[m.cursor]) > 0
-		m.mu.Unlock()
-		if !again {
-			return
-		}
-	}
 }
