@@ -1,6 +1,7 @@
 package clientapi
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -29,6 +30,7 @@ type DialOptions struct {
 // most one block subscription. Methods are safe for concurrent use.
 type Client struct {
 	conn     net.Conn
+	br       *bufio.Reader // the read loop's view of conn
 	clientID uint64
 	welcome  welcomeMsg
 	opts     DialOptions
@@ -96,7 +98,8 @@ func Attach(conn net.Conn, clientID uint64, opts DialOptions) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("clientapi: handshake write: %w", err)
 	}
-	kind, payload, err := readFrame(conn)
+	br := bufio.NewReader(conn) // the only reader of conn from here on (see serverConn.br)
+	kind, payload, err := readFrame(br)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("clientapi: handshake read: %w", err)
@@ -117,6 +120,7 @@ func Attach(conn net.Conn, clientID uint64, opts DialOptions) (*Client, error) {
 	conn.SetDeadline(time.Time{})
 	c := &Client{
 		conn:     conn,
+		br:       br,
 		clientID: clientID,
 		welcome:  welcome,
 		opts:     opts,
@@ -537,7 +541,7 @@ func (c *Client) readLoop() {
 	for {
 		var kind uint8
 		var payload []byte
-		kind, payload, err = readFrame(c.conn)
+		kind, payload, err = readFrame(c.br)
 		if err != nil {
 			break
 		}

@@ -144,32 +144,42 @@ func buildChainBlocks(t *testing.T, ks *flcrypto.KeySet, n int) []types.Block {
 	return out
 }
 
-// TestStreamReplayAcrossCompaction is the reconnect-replay contract: a
-// cursor into the retained tail of a checkpointed (compacted) log replays
-// the historical suffix — across the compaction rewrite — and hands over to
-// the live tail with no gap and no duplicate.
-func TestStreamReplayAcrossCompaction(t *testing.T) {
-	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
-	dir := t.TempDir()
+// compactedLog opens a log at dir/w0.log holding blocks[:30] with rounds
+// 1..10 checkpointed away: a first checkpoint at tip 10 ends the first
+// segment, a second at tip 30 (anchor 17) unlinks it. Rounds 1..10 are gone
+// from the log, exactly what a client that lingered too long sees.
+func compactedLog(t *testing.T, ks *flcrypto.KeySet, dir string, blocks []types.Block) *store.BlockLog {
+	t.Helper()
 	log, _, err := store.Open(filepath.Join(dir, "w0.log"), store.Options{Registry: ks.Registry, Instance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log.Close()
-	blocks := buildChainBlocks(t, ks, 40)
-	for _, blk := range blocks[:30] {
+	t.Cleanup(func() { log.Close() })
+	anchor := func(round uint64) (flcrypto.Hash, bool) { return blocks[round-1].Hash(), true }
+	for i, blk := range blocks[:30] {
 		if err := log.Append(blk); err != nil {
 			t.Fatal(err)
 		}
+		if retain, ok := map[int]uint64{10: 3, 30: 13}[i+1]; ok {
+			if _, err := log.Checkpoint(filepath.Join(dir, "w0.snap"), 0, 0, nil, retain, anchor); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Compact: retain 13 rounds below the tip → base 17; rounds 1..17 are
-	// gone from the log, exactly what a client that lingered too long sees.
-	if err := log.Checkpoint(filepath.Join(dir, "w0.snap"), 0, 0, nil, 13); err != nil {
-		t.Fatal(err)
+	if log.Base() != 10 {
+		t.Fatalf("base = %d, want 10", log.Base())
 	}
-	if log.Base() != 17 {
-		t.Fatalf("base = %d, want 17", log.Base())
-	}
+	return log
+}
+
+// TestStreamReplayAcrossCompaction is the reconnect-replay contract: a
+// cursor into the retained tail of a checkpointed (compacted) log replays
+// the historical suffix — across a segment boundary — and hands over to the
+// live tail with no gap and no duplicate.
+func TestStreamReplayAcrossCompaction(t *testing.T) {
+	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
+	blocks := buildChainBlocks(t, ks, 40)
+	log := compactedLog(t, ks, t.TempDir(), blocks)
 
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -226,25 +236,12 @@ func TestStreamReplayAcrossCompaction(t *testing.T) {
 // base cannot be served and must fail loudly, not stream a gapped history.
 func TestStreamCursorBelowRetainedHistory(t *testing.T) {
 	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
-	dir := t.TempDir()
-	log, _, err := store.Open(filepath.Join(dir, "w0.log"), store.Options{Registry: ks.Registry, Instance: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	for _, blk := range buildChainBlocks(t, ks, 30) {
-		if err := log.Append(blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Checkpoint(filepath.Join(dir, "w0.snap"), 0, 0, nil, 13); err != nil {
-		t.Fatal(err)
-	}
+	log := compactedLog(t, ks, t.TempDir(), buildChainBlocks(t, ks, 30))
 
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err = Stream(ctx, node, Cursor{Worker: 0, Round: 5}, func(uint32, types.Block) error { return nil })
+	err := Stream(ctx, node, Cursor{Worker: 0, Round: 5}, func(uint32, types.Block) error { return nil })
 	if !errors.Is(err, store.ErrCompacted) {
 		t.Fatalf("stream below base returned %v, want ErrCompacted", err)
 	}
@@ -255,20 +252,7 @@ func TestStreamCursorBelowRetainedHistory(t *testing.T) {
 // with errors.Is exactly like an in-process one.
 func TestRemoteCursorBelowRetainedHistoryTyped(t *testing.T) {
 	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
-	dir := t.TempDir()
-	log, _, err := store.Open(filepath.Join(dir, "w0.log"), store.Options{Registry: ks.Registry, Instance: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	for _, blk := range buildChainBlocks(t, ks, 30) {
-		if err := log.Append(blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Checkpoint(filepath.Join(dir, "w0.snap"), 0, 0, nil, 13); err != nil {
-		t.Fatal(err)
-	}
+	log := compactedLog(t, ks, t.TempDir(), buildChainBlocks(t, ks, 30))
 
 	srv := NewServer(newFakeNode(t, log), ServerOptions{})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -282,7 +266,7 @@ func TestRemoteCursorBelowRetainedHistoryTyped(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	events, err := c.Subscribe(ctx, Cursor{Worker: 0, Round: 5}) // below base 17
+	events, err := c.Subscribe(ctx, Cursor{Worker: 0, Round: 5}) // below base 10
 	if err != nil {
 		t.Fatal(err)
 	}

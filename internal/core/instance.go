@@ -67,7 +67,10 @@ type Config struct {
 	Pool TxSource
 	// BatchSize is the paper's β: transactions per block (default 100).
 	BatchSize int
-	// OnDecide receives definite blocks in round order.
+	// OnDecide receives definite blocks in round order, on the instance's
+	// commit stage (after Persist and Pool.MarkCommitted, off the round
+	// loop). While it blocks, up to CommitDepth further decisions queue
+	// behind it; then the round loop waits too.
 	OnDecide func(blk types.Block)
 	// OnEvent receives Fig 9 lifecycle events (may be nil).
 	OnEvent func(round uint64, ev Event)
@@ -101,8 +104,10 @@ type Config struct {
 	// SnapChunkBytes caps one snapshot-transfer chunk (default 256 KiB; see
 	// snapsync.go). Tests shrink it to force multi-chunk transfers.
 	SnapChunkBytes int
-	// Persist, when non-nil, receives every definite block before OnDecide
-	// (the durability hook; internal/store.BlockLog.Append fits).
+	// Persist, when non-nil, receives every definite block before OnDecide,
+	// on the commit stage (the durability hook; internal/store.BlockLog.Append
+	// fits). Stop returns only after every block decided before it has been
+	// handed to Persist.
 	Persist func(types.Block) error
 	// PersistProposal, when non-nil, receives every block this node signs
 	// for a proposal slot, before the signature can leave the node; the
@@ -194,9 +199,19 @@ type Metrics struct {
 	SnapInstalls      atomic.Uint64
 }
 
+// CommitDepth bounds the definite blocks queued for a worker's commit stage.
+// A disk (or a consumer behind OnDecide) that stops must stop consensus after
+// this many rounds, not grow a heap; at a few hundred rounds a second it
+// rides out a stall of about a second.
+const CommitDepth = 256
+
 // Instance is one FireLedger worker: a single-threaded round loop
 // (Algorithm 2) over the WRB/OBBC/RB services, plus the recovery procedure
-// (Algorithm 3) on the shared atomic broadcast.
+// (Algorithm 3) on the shared atomic broadcast. What follows a definite
+// decision — persisting the block, retiring its transactions from the pool,
+// handing it to OnDecide — runs on a second goroutine, the commit stage, fed
+// in round order through a bounded queue, so a decision costs the round loop
+// one channel send.
 type Instance struct {
 	cfg   Config
 	id    flcrypto.NodeID
@@ -210,7 +225,10 @@ type Instance struct {
 
 	stop    chan struct{}
 	once    sync.Once
-	stopped sync.WaitGroup
+	stopped sync.WaitGroup // the round loop
+
+	commitQ   chan types.Block // definite blocks in round order; closed by Stop
+	committed sync.WaitGroup   // the commit stage
 
 	// panicCh carries RB-delivered inconsistency proofs to the round loop;
 	// panicPending closes the race between queuing a proof and the loop
@@ -257,6 +275,7 @@ func New(cfg Config) *Instance {
 		f:       (n - 1) / 3,
 		chain:   NewChainAt(cfg.Instance, cfg.PreloadBase, cfg.PreloadBaseHash),
 		stop:    make(chan struct{}),
+		commitQ: make(chan types.Block, CommitDepth),
 		panicCh: make(chan Proof, 16),
 		abortCh: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(int64(cfg.Instance)*1000 + int64(cfg.Mux.ID()))),
@@ -478,7 +497,7 @@ func (in *Instance) BindSnapshots(provide func() (store.Snapshot, bool), install
 // per-round protocol state below the base is collected, and the round loop
 // is interrupted so it resumes from the new tip. Callers (the flo install
 // path) must have persisted the snapshot and truncated the block log first
-// — durability before visibility, the same order finalizeThrough uses.
+// — durability before visibility, the same order the commit stage uses.
 func (in *Instance) AdoptSnapshot(base uint64, baseHash flcrypto.Hash) error {
 	if err := in.chain.ResetForward(base, baseHash); err != nil {
 		return err
@@ -511,19 +530,24 @@ func (in *Instance) HandleOrdered(req []byte) bool { return in.rec.HandleOrdered
 // Metrics returns the instance counters.
 func (in *Instance) Metrics() *Metrics { return &in.metrics }
 
-// Start launches the round loop.
+// Start launches the round loop and the commit stage.
 func (in *Instance) Start() {
 	in.stopped.Add(1)
+	in.committed.Add(1)
 	go in.run()
+	go in.commit()
 }
 
-// Stop terminates the round loop and aborts any in-flight delivery.
+// Stop terminates the round loop, aborting any in-flight delivery, and then
+// lets the commit stage finish every block the loop decided.
 func (in *Instance) Stop() {
 	in.once.Do(func() {
 		close(in.stop)
 		in.interrupt()
+		in.stopped.Wait()
+		close(in.commitQ)
 	})
-	in.stopped.Wait()
+	in.committed.Wait()
 }
 
 // OnPanic is the RB delivery callback (Algorithm 2 lines b12–b14): a valid
@@ -576,7 +600,8 @@ func (in *Instance) interrupt() {
 }
 
 // beginAttempt installs the current delivery key and returns a fresh abort
-// channel for this attempt. If a panic slipped in between attempts, the
+// channel for this attempt. If a panic or Stop slipped in between attempts —
+// their interrupt closed the previous attempt's channel, not this one — the
 // channel comes pre-closed so the attempt aborts immediately.
 func (in *Instance) beginAttempt(key obbc.Key) <-chan struct{} {
 	in.mu.Lock()
@@ -584,7 +609,13 @@ func (in *Instance) beginAttempt(key obbc.Key) <-chan struct{} {
 	in.abortCh = make(chan struct{})
 	ch := in.abortCh
 	in.mu.Unlock()
-	if in.panicPending.Load() {
+	stopping := false
+	select {
+	case <-in.stop:
+		stopping = true
+	default:
+	}
+	if stopping || in.panicPending.Load() {
 		in.interrupt()
 	}
 	return ch
@@ -850,33 +881,19 @@ func (in *Instance) resyncTentativeSuffix(ri uint64, seg []types.Block) bool {
 	return true
 }
 
-// finalizeThrough marks rounds ≤ r definite and emits them.
+// finalizeThrough marks rounds ≤ r definite and hands them to the commit
+// stage. Only protocol state is touched here, on the round loop.
 func (in *Instance) finalizeThrough(r uint64) {
 	for _, round := range in.chain.MarkDefinite(r) {
 		blk, ok := in.chain.BlockAt(round)
 		if !ok {
 			continue
 		}
-		if in.cfg.Persist != nil {
-			// Durability before visibility: a crash after this point
-			// replays the block; a crash before it re-decides it.
-			if err := in.cfg.Persist(blk); err != nil {
-				// Persistence failure is fatal for durability but not for
-				// agreement; keep running, the operator sees the error
-				// through the store.
-				_ = err
-			}
-		}
 		in.metrics.DefiniteBlocks.Add(1)
 		in.metrics.DefiniteTxs.Add(uint64(len(blk.Body.Txs)))
 		in.registerConvictions(blk)
 		in.event(round, EventDefinite)
-		if in.cfg.Pool != nil {
-			in.cfg.Pool.MarkCommitted(blk.Body.Txs)
-		}
-		if in.cfg.OnDecide != nil {
-			in.cfg.OnDecide(blk)
-		}
+		in.commitQ <- blk // waits while the commit stage is CommitDepth behind
 		in.data.drop(blk.Header().BodyHash)
 	}
 	// Protocol state below the definite boundary can never be needed again.
@@ -885,6 +902,28 @@ func (in *Instance) finalizeThrough(r uint64) {
 		in.cfg.WRB.GC(in.cfg.Instance, def)
 		in.cfg.OBBC.GC(in.cfg.Instance, def)
 		in.pruneProposals(def)
+	}
+}
+
+// commit is the commit stage: each definite block, in round order, is
+// persisted, retired from the pool and handed to OnDecide.
+func (in *Instance) commit() {
+	defer in.committed.Done()
+	for blk := range in.commitQ {
+		if in.cfg.Persist != nil {
+			// Durability before visibility: a crash after this point
+			// replays the block; a crash before it re-decides it. A
+			// persistence failure is fatal for durability but not for
+			// agreement; keep running, the operator sees the error through
+			// the store, where it is sticky.
+			_ = in.cfg.Persist(blk)
+		}
+		if in.cfg.Pool != nil {
+			in.cfg.Pool.MarkCommitted(blk.Body.Txs)
+		}
+		if in.cfg.OnDecide != nil {
+			in.cfg.OnDecide(blk)
+		}
 	}
 }
 

@@ -7,13 +7,16 @@ import (
 	"repro/internal/store"
 )
 
-// maybeCheckpoint runs on the merge point's delivery goroutine after each
-// merged delivery: when the last worker's block completes a checkpoint
-// cycle, it captures the application state once and checkpoints every
-// worker's log — each snapshot anchored at that worker's last merged-
-// delivered round, so restore knows exactly which replayed rounds the state
-// does not cover. A checkpoint failure is sticky (CheckpointErr) and
-// disables further checkpoints; delivery itself continues.
+// maybeCheckpoint runs on the delivery goroutine after each merged delivery:
+// when the last worker's block completes a checkpoint cycle, it captures the
+// application state once and checkpoints every worker's log — each snapshot
+// anchored at that worker's last merged-delivered round, so restore knows
+// exactly which replayed rounds the state does not cover. The capture is
+// what has to happen here, at a consistent cut of the merged stream; the log
+// side is a snapshot file and some unlinks per worker (store.Checkpoint).
+// Round loops and commit stages keep running meanwhile. A checkpoint failure
+// is sticky (CheckpointErr) and disables further checkpoints; delivery
+// itself continues.
 func (n *Node) maybeCheckpoint(w uint32, round uint64) {
 	if n.retain == 0 || len(n.logs) != len(n.workers) {
 		return
@@ -32,23 +35,24 @@ func (n *Node) maybeCheckpoint(w uint32, round uint64) {
 	for v, lg := range n.logs {
 		stateRound := uint64(0)
 		if stateful {
-			stateRound = n.merger.lastDelivered[v]
+			stateRound = n.merger.lastDelivered[v] // ours to read: emit holds emitMu around deliver
 		}
-		if err := lg.Checkpoint(n.snapPaths[v], uint32(v), stateRound, state, n.retain); err != nil {
+		snap, err := lg.Checkpoint(n.snapPaths[v], uint32(v), stateRound, state, n.retain, n.workers[v].Chain().HashAt)
+		if err != nil {
 			n.ckptErr.Store(fmt.Errorf("flo: worker %d checkpoint: %w", v, err))
 			return
 		}
-		// Refresh the donation cache from disk (Checkpoint may have no-oped
-		// when the anchor would not advance; the file is always the truth).
-		if s, ok, err := store.LoadSnapshot(n.snapPaths[v]); err == nil && ok {
-			n.snapMu.Lock()
-			n.snapLive[v] = &s
-			n.snapMu.Unlock()
+		if snap == nil {
+			continue // the anchor would not advance
 		}
+		// What was just written is what this node donates to stranded peers.
+		n.snapMu.Lock()
+		n.snapLive[v] = snap
+		n.snapMu.Unlock()
 		// Compact the live in-memory chain to the durable anchor: past this
 		// point the retained window bounds what this node range-serves, and
 		// a peer that fell below it is rescued by snapshot transfer.
-		if err := n.workers[v].CompactTo(lg.Base()); err != nil {
+		if err := n.workers[v].CompactTo(snap.BaseRound); err != nil {
 			n.ckptErr.Store(fmt.Errorf("flo: worker %d compact: %w", v, err))
 			return
 		}
@@ -69,10 +73,10 @@ func (n *Node) latestSnapshot(w uint32) (store.Snapshot, bool) {
 // installSnapshot atomically adopts a verified remote checkpoint for worker w
 // — the final step of a snapshot transfer, after core/snapsync.go has hash-
 // verified the payload and attested its chain anchor against f+1 peers. The
-// ordering is crash-safe: the snapshot lands on disk first, then the log is
-// truncated to the new base, then the in-memory chain and replica jump
-// forward. A crash between the first two steps leaves a fresh snapshot over
-// an old log, which restart replay handles by skimming the pre-anchor frames.
+// ordering is crash-safe: the snapshot lands on disk first, then the log's
+// segments are dropped for a new one at the new base, then the in-memory
+// chain and replica jump forward. A crash between the first two steps leaves
+// a fresh snapshot over old segments, which the next open unlinks or skims.
 func (n *Node) installSnapshot(w uint32, snap store.Snapshot) error {
 	n.installMu.Lock()
 	defer n.installMu.Unlock()

@@ -3,12 +3,27 @@
 // service, a client manager that routes each write to a worker pool by
 // hash affinity on the client id (with a guarded least-loaded fallback),
 // and a round-robin merger that delivers the workers' definite blocks in
-// one global order. Each worker runs its own pipeline end to end — propose,
-// verify, persist (own BlockLog and group-commit committer), catch-up fetch
-// window — and only the final sequencing of already-processed blocks goes
-// through the lock-light merge point. All workers share a single transport
-// endpoint and a single PBFT replica (the paper likewise shares one
-// BFT-SMaRt instance across workers, Fig 3).
+// one global order. All workers share a single transport endpoint and a
+// single PBFT replica (the paper likewise shares one BFT-SMaRt instance
+// across workers, Fig 3).
+//
+// A block crosses three stages, each on its own goroutine, joined by
+// bounded queues:
+//
+//  1. the worker's round loop (core.Instance) proposes, verifies, decides,
+//     and on a definite decision does protocol bookkeeping only;
+//  2. the worker's commit stage persists the block (its own BlockLog and
+//     group-commit committer), retires its transactions from the client
+//     pool, and queues it at the merger;
+//  3. the node's one delivery goroutine (merger.run) takes the workers'
+//     blocks in the global order and applies them to the state replica,
+//     hands them to Config.Deliver and the subscribers, and cuts the
+//     checkpoints.
+//
+// A data dir holds, per worker i: the block log's segments (w<i>.log, then
+// w<i>.log.<first round> for each segment a checkpoint started; see
+// internal/store), the newest checkpoint w<i>.snap, and the proposal memo
+// w<i>.props.
 package flo
 
 import (
@@ -102,11 +117,12 @@ type Config struct {
 	ViewTimeout time.Duration
 	// LeaseTimeout for client pools (default 5s).
 	LeaseTimeout time.Duration
-	// DataDir, when set, persists each worker's definite chain to
-	// DataDir/w<N>.log and resumes from it on restart (internal/store).
+	// DataDir, when set, persists each worker's definite chain to the log
+	// segments DataDir/w<N>.log[.<first round>] and resumes from them on
+	// restart (internal/store).
 	DataDir string
 	// SyncWrites makes persisted blocks durable by group commit
-	// (store.Options.GroupCommit): the delivery path enqueues each definite
+	// (store.Options.GroupCommit): the commit stage enqueues each definite
 	// block without blocking on its fsync, and blocks finalized while a sync
 	// is in flight share the next one. An I/O failure is sticky: it surfaces
 	// on the next append, and Checkpoint and Close drain the queue first.
@@ -126,9 +142,9 @@ type Config struct {
 	SnapChunkBytes int
 	// SnapshotEvery, with DataDir, checkpoints each worker every
 	// SnapshotEvery definite rounds: a snapshot (chain anchor + optional
-	// application state) is written next to the log and the log prefix is
-	// truncated, so restart replay reads only the post-snapshot suffix —
-	// O(delta), not O(history). 0 disables compaction.
+	// application state) is written next to the log and the log segments
+	// below the anchor are unlinked, so restart replay reads only the
+	// post-snapshot suffix — O(delta), not O(history). 0 disables compaction.
 	SnapshotEvery uint64
 	// State, when set, makes the node maintain a queryable ledger replica:
 	// the merged definite stream is applied to this backend (before Deliver
@@ -506,8 +522,8 @@ func (n *Node) addWorker(w uint32) error {
 			boot = preload[len(preload)-1].Signed.Header.Round
 		}
 		n.merger.lastDelivered[w] = boot
-		// Compaction happens at the merge point (maybeCheckpoint), not on
-		// the per-worker persist path: the app state captured there reflects
+		// Compaction happens at the merge point (maybeCheckpoint), not in
+		// the per-worker commit stage: the app state captured there reflects
 		// the merged delivery position across all ω pipelines.
 		n.snapPaths = append(n.snapPaths, snapPath)
 		n.logs = append(n.logs, log)
@@ -671,6 +687,7 @@ func (n *Node) ReadDefinite(w uint32, from uint64, max int) ([]types.Block, erro
 
 // Start launches the transport, the PBFT replica, and all workers.
 func (n *Node) Start() {
+	n.merger.start()
 	n.mux.Start()
 	n.replica.Start()
 	for _, w := range n.workers {
@@ -678,12 +695,16 @@ func (n *Node) Start() {
 	}
 }
 
-// Stop shuts the node down.
+// Stop shuts the node down. Every block a round loop decided is persisted
+// before the logs close; the merged stream ends at whatever prefix of those
+// blocks was deliverable.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
+		n.merger.unblock()
 		for _, w := range n.workers {
 			w.Stop()
 		}
+		n.merger.stop()
 		for _, o := range n.obbcs {
 			o.Stop()
 		}

@@ -1,7 +1,9 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/flcrypto"
@@ -46,8 +48,33 @@ type Checker struct {
 	// incarnations (per-instance metrics die with a restart; this survives,
 	// so crash-mid-transfer scenarios can assert a rescue happened at all).
 	installs map[int]uint64
+	// acked tracks the client writes honest nodes accepted (NoteAck): the
+	// at-least-once-inclusion, exactly-once-receipt contract is asserted on
+	// them as blocks are delivered and once more at the end of the run.
+	acked map[writeID]*ackedWrite
 	// violations is the flight recorder the runner drains.
 	violations []string
+}
+
+// writeID is a client write's identity: what a commit receipt resolves.
+type writeID struct{ client, seq uint64 }
+
+// ackedWrite is one write an honest node accepted into its pool.
+type ackedWrite struct {
+	node    int
+	payload []byte
+	// slots are the definite positions that carry the write. The first one a
+	// node delivers resolves the receipt; any more are the repeats that
+	// at-least-once inclusion allows (a lease that expired while its block
+	// was still deciding).
+	slots map[slot]bool
+	// delivered: the node that acked the write has delivered it, which
+	// resolves the client's receipt.
+	delivered bool
+	// installed: the acking node adopted a transferred snapshot before it
+	// delivered the write, so the block may lie below the installed base,
+	// where nothing is delivered; only inclusion is owed then.
+	installed bool
 }
 
 // NewChecker builds a checker for an n-node cluster with the given
@@ -58,6 +85,7 @@ func NewChecker(n int, byzantine []int) *Checker {
 		global:   make(map[slot]firstWrite),
 		cursor:   make(map[int]map[uint32]uint64, n),
 		installs: make(map[int]uint64, n),
+		acked:    make(map[writeID]*ackedWrite),
 	}
 	for _, b := range byzantine {
 		c.byz[b] = true
@@ -104,6 +132,59 @@ func (c *Checker) OnDeliver(node int, w uint32, blk types.Block) {
 			node, w, round, last))
 	}
 	rounds[w] = round
+
+	// Acked writes: an inclusion carries the write that was acked, not
+	// another payload under its identity; the acking node's first delivery
+	// of it is its receipt.
+	if len(c.acked) == 0 {
+		return
+	}
+	for i := range blk.Body.Txs {
+		tx := &blk.Body.Txs[i]
+		a := c.acked[writeID{tx.Client, tx.Seq}]
+		if a == nil {
+			continue
+		}
+		if !bytes.Equal(a.payload, tx.Payload) {
+			c.violations = append(c.violations, fmt.Sprintf(
+				"receipt violation: (client %#x, seq %d), acked by node %d, is included at (worker %d, round %d) with a different payload",
+				tx.Client, tx.Seq, a.node, w, round))
+			continue
+		}
+		a.slots[s] = true
+		if node == a.node {
+			a.delivered = true
+		}
+	}
+}
+
+// NoteAck records that honest node `node` accepted tx into its pool. From
+// here on the contract binds: while that node stays up, tx is included in the
+// definite log at least once, under its own payload, and the node delivers
+// it — which resolves the one receipt its client gets.
+func (c *Checker) NoteAck(node int, tx types.Transaction) {
+	c.mu.Lock()
+	c.acked[writeID{tx.Client, tx.Seq}] = &ackedWrite{node: node, payload: tx.Payload, slots: make(map[slot]bool)}
+	c.mu.Unlock()
+}
+
+// OwedWrites lists the acked writes that are not yet both in the definite
+// log and delivered at the node that acked them, and counts the repeat
+// inclusions seen so far (allowed; reported).
+func (c *Checker) OwedWrites() (owed []string, repeats int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, a := range c.acked {
+		if len(a.slots) == 0 || !a.delivered && !a.installed {
+			owed = append(owed, fmt.Sprintf("(client %#x, seq %d) acked by node %d: %d inclusions, delivered there: %v",
+				id.client, id.seq, a.node, len(a.slots), a.delivered))
+		}
+		if len(a.slots) > 1 {
+			repeats += len(a.slots) - 1
+		}
+	}
+	sort.Strings(owed)
+	return owed, repeats
 }
 
 // NoteSnapshotInstall records that node's worker w adopted a transferred
@@ -121,6 +202,11 @@ func (c *Checker) NoteSnapshotInstall(node int, w uint32, base uint64) {
 	}
 	rounds[w] = base
 	c.installs[node]++
+	for _, a := range c.acked {
+		if a.node == node && !a.delivered {
+			a.installed = true
+		}
+	}
 	c.mu.Unlock()
 }
 
@@ -135,9 +221,16 @@ func (c *Checker) SnapshotInstalls(node int) uint64 {
 // ResetNode opens a new incarnation for node: the per-worker cursors reset
 // (a restarted node resumes above its replayed prefix, or re-delivers from
 // round 1 when it restarts stateless), while its slot hashes stay binding.
+// The writes the old incarnation acked and had not delivered are excused: its
+// pool died with it, as a client that lost its session to the crash knows.
 func (c *Checker) ResetNode(node int) {
 	c.mu.Lock()
 	delete(c.cursor, node)
+	for id, a := range c.acked {
+		if a.node == node && !a.delivered {
+			delete(c.acked, id)
+		}
+	}
 	c.mu.Unlock()
 }
 

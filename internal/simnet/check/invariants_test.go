@@ -93,3 +93,52 @@ func TestCheckerTracksWorkersIndependently(t *testing.T) {
 		t.Fatal("worker-1 slot not recorded")
 	}
 }
+
+// TestCheckerAckedWrites: an acked write is owed until it is both in the
+// definite log and delivered at the node that acked it; a repeat inclusion
+// is counted, not flagged; another payload under its identity is flagged; a
+// crash of the acking node excuses what it had not delivered.
+func TestCheckerAckedWrites(t *testing.T) {
+	c := NewChecker(4, nil)
+	write := func(seq uint64) types.Transaction {
+		return types.Transaction{Client: 1, Seq: seq, Payload: []byte("acked")}
+	}
+	c.NoteAck(2, write(1))
+	c.NoteAck(2, write(2))
+	c.NoteAck(3, write(9))
+	if owed, _ := c.OwedWrites(); len(owed) != 3 {
+		t.Fatalf("owed before any delivery: %v", owed)
+	}
+	c.OnDeliver(0, 0, mkBlock(1, "acked")) // carries (1, 1), seen by node 0 only
+	if owed, _ := c.OwedWrites(); len(owed) != 3 {
+		t.Fatalf("a write delivered elsewhere but not at its acking node is still owed a receipt: %v", owed)
+	}
+	c.OnDeliver(2, 0, mkBlock(1, "acked"))
+	c.OnDeliver(2, 0, mkBlock(2, "acked"))
+	owed, repeats := c.OwedWrites()
+	if len(owed) != 1 || !strings.Contains(owed[0], "seq 9") || repeats != 0 {
+		t.Fatalf("owed %v repeats %d, want only seq 9 owed", owed, repeats)
+	}
+	// The same write in a second block: at-least-once inclusion.
+	again := mkBlock(3, "x")
+	again.Body.Txs = []types.Transaction{write(2)}
+	c.OnDeliver(2, 0, again)
+	if _, repeats := c.OwedWrites(); repeats != 1 {
+		t.Fatalf("repeat inclusions = %d, want 1", repeats)
+	}
+	if v := c.Violations(); len(v) != 0 {
+		t.Fatalf("clean history flagged: %v", v)
+	}
+	c.OnDeliver(0, 0, mkBlock(2, "FORGED")) // agreement violation too; look for ours
+	found := false
+	for _, v := range c.Violations() {
+		found = found || strings.Contains(v, "receipt violation")
+	}
+	if !found {
+		t.Fatalf("a different payload under an acked identity was not flagged: %v", c.Violations())
+	}
+	c.ResetNode(3)
+	if owed, _ := c.OwedWrites(); len(owed) != 0 {
+		t.Fatalf("a crashed node's undelivered acks are still owed: %v", owed)
+	}
+}

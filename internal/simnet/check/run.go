@@ -187,6 +187,7 @@ func Run(sc Scenario, opts RunOpts) error {
 	// path: a receipt-anchored Get answers with the committed value on
 	// every node (violations land in the checker and surface below).
 	if sc.Stateful {
+		c.ackedChecks()
 		if err := c.stateChecks(); err != nil {
 			return err
 		}
@@ -225,6 +226,10 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 		},
 		SnapshotEvery:  sc.SnapshotEvery,
 		SnapChunkBytes: sc.SnapChunkBytes,
+		// A write parked by a nil round comes back within the run, and a
+		// recovery that outlasts the lease re-proposes it: the repeat
+		// inclusions the acked-write invariant has to tolerate.
+		LeaseTimeout: time.Second,
 	}
 	if c.pools != nil {
 		cfg.VerifyPool = c.pools[i]
@@ -344,6 +349,9 @@ func (c *Cluster) executeSchedule() error {
 	for _, a := range actions {
 		if d := a.at - time.Since(start); d > 0 {
 			time.Sleep(d)
+		}
+		if sc.Stateful {
+			c.chaosWrites()
 		}
 		ev := a.ev
 		groups := func() [][]int {
@@ -598,13 +606,78 @@ func (c *Cluster) waitDefinite(who []int, rounds uint64, timeout time.Duration, 
 func stateKey(i int) string   { return fmt.Sprintf("sim/%06d", i) }
 func stateValue(i int) []byte { return []byte(fmt.Sprintf("v%06d", i)) }
 
+// nextKV mints the runner's next client write.
+func (c *Cluster) nextKV(key string, value []byte) types.Transaction {
+	c.stateSeq++
+	return types.Transaction{Client: stateClientID, Seq: c.stateSeq, Payload: statemachine.EncodeSet(key, value)}
+}
+
+// submitAcked hands tx to node via's client pool and, once the node has
+// accepted it, puts it under the acked-write invariant (Checker.NoteAck).
+func (c *Cluster) submitAcked(via int, tx types.Transaction) error {
+	if err := c.Nodes[via].Submit(tx); err != nil {
+		return fmt.Errorf("state submit via node %d: %w", via, err)
+	}
+	c.Checker.NoteAck(via, tx)
+	return nil
+}
+
+// chaosWrites submits one client write through every honest node that is up,
+// at each step of the fault schedule: writes acked into partitions, ahead of
+// crashes of other nodes, under loss and next to Byzantine proposers are
+// what the acked-write invariant is about.
+func (c *Cluster) chaosWrites() {
+	for _, i := range c.Scenario.honest() {
+		if c.Nodes[i] == nil {
+			continue
+		}
+		key := fmt.Sprintf("sim/chaos/%06d", c.stateSeq)
+		if err := c.submitAcked(i, c.nextKV(key, []byte(key))); err != nil {
+			c.Checker.Violate("chaos write: %v", err)
+		}
+	}
+}
+
+// ackedChecks closes the acked-write invariant once the schedule has healed:
+// every write an honest node accepted (and did not take to its grave in a
+// crash) is in the definite log at least once and was delivered at the node
+// that accepted it — at-least-once inclusion, one receipt — and no pool
+// still holds a write that committed.
+func (c *Cluster) ackedChecks() {
+	var owed []string
+	var repeats int
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if owed, repeats = c.Checker.OwedWrites(); len(owed) == 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if len(owed) > 0 {
+		for _, w := range owed {
+			c.Checker.Violate("acked-write violation: %s", w)
+		}
+		return
+	}
+	c.logf("acked writes all included and delivered; %d repeat inclusions", repeats)
+	for _, i := range c.Scenario.honest() {
+		for c.Nodes[i].PoolPending() > 0 {
+			if time.Now().After(deadline) {
+				c.Checker.Violate("acked-write violation: node %d's pools still hold %d writes after every acked write committed",
+					i, c.Nodes[i].PoolPending())
+				break
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+}
+
 // submitKV submits one Set command through node via's client pool and waits
 // for it to land in a definite block of the merged stream, returning the
 // commit-receipt coordinates (worker, round) — exactly what a Session's
 // Receipt.Token() anchors reads to.
 func (c *Cluster) submitKV(via int, key string, value []byte, timeout time.Duration) (uint32, uint64, error) {
-	c.stateSeq++
-	tx := types.Transaction{Client: stateClientID, Seq: c.stateSeq, Payload: statemachine.EncodeSet(key, value)}
+	tx := c.nextKV(key, value)
 	id := tx.ID()
 	type receipt struct {
 		w uint32
@@ -623,8 +696,8 @@ func (c *Cluster) submitKV(via int, key string, value []byte, timeout time.Durat
 		}
 	})
 	defer cancel()
-	if err := c.Nodes[via].Submit(tx); err != nil {
-		return 0, 0, fmt.Errorf("state submit via node %d: %w", via, err)
+	if err := c.submitAcked(via, tx); err != nil {
+		return 0, 0, err
 	}
 	select {
 	case rc := <-got:
@@ -639,9 +712,7 @@ func (c *Cluster) submitKV(via int, key string, value []byte, timeout time.Durat
 // carry real application state.
 func (c *Cluster) seedStateLoad(count int) error {
 	for i := 0; i < count-1; i++ {
-		c.stateSeq++
-		tx := types.Transaction{Client: stateClientID, Seq: c.stateSeq, Payload: statemachine.EncodeSet(stateKey(i), stateValue(i))}
-		if err := c.Nodes[0].Submit(tx); err != nil {
+		if err := c.submitAcked(0, c.nextKV(stateKey(i), stateValue(i))); err != nil {
 			return fmt.Errorf("state load: %w", err)
 		}
 	}

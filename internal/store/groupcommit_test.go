@@ -111,8 +111,8 @@ func TestGroupCommitBlockingAppend(t *testing.T) {
 }
 
 // TestGroupCommitCheckpointFlushes checks that Checkpoint sees appends whose
-// batch had not been flushed yet: the committer must be drained before the
-// log is scanned and compacted.
+// batch had not been flushed yet: the committer must be drained into the
+// current segment before the next one starts.
 func TestGroupCommitCheckpointFlushes(t *testing.T) {
 	blocks, reg := testChain(t, 40)
 	dir := t.TempDir()
@@ -134,7 +134,8 @@ func TestGroupCommitCheckpointFlushes(t *testing.T) {
 		}
 		waits = append(waits, w)
 	}
-	if err := log.Checkpoint(snap, 0, 0, nil, 10); err != nil {
+	written, err := log.Checkpoint(snap, 0, 0, nil, 10, anchorOf(blocks))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range waits {
@@ -142,8 +143,8 @@ func TestGroupCommitCheckpointFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if base := log.Base(); base != uint64(len(blocks))-10 {
-		t.Fatalf("base %d after checkpoint, want %d", base, len(blocks)-10)
+	if written == nil || written.BaseRound != uint64(len(blocks))-10 {
+		t.Fatalf("checkpoint wrote %+v, want anchor %d", written, len(blocks)-10)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestGroupCommitCheckpointConcurrentFlush(t *testing.T) {
 		}
 		lastWait = w
 		if (i+1)%50 == 0 {
-			if err := log.Checkpoint(snap, 0, 0, nil, 20); err != nil {
+			if _, err := log.Checkpoint(snap, 0, 0, nil, 20, anchorOf(blocks)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -55,28 +55,36 @@ func TestSnapshotWriteLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// countFrames scans a log file's frame headers.
+// countFrames scans the frame headers of every segment of the log at path.
 func countFrames(t *testing.T, path string) int {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	segs, err := listSegments(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := 0
-	for off := 0; off+12 <= len(raw); {
-		if binary.BigEndian.Uint32(raw[off:]) != frameMagic {
-			t.Fatalf("bad magic at offset %d", off)
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		n := int(binary.BigEndian.Uint32(raw[off+4:]))
-		off += 12 + n
-		frames++
+		for off := 0; off+12 <= len(raw); {
+			if binary.BigEndian.Uint32(raw[off:]) != frameMagic {
+				t.Fatalf("%s: bad magic at offset %d", seg.path, off)
+			}
+			n := int(binary.BigEndian.Uint32(raw[off+4:]))
+			off += 12 + n
+			frames++
+		}
 	}
 	return frames
 }
 
-// TestCheckpointCompactsLog is the compaction acceptance test: after a
-// checkpoint, the log file holds only the retained tail, restart replay
-// reads only that post-snapshot suffix, and appends continue seamlessly.
+// TestCheckpointCompactsLog is the compaction acceptance test: a checkpoint
+// anchors a snapshot `retain` rounds below the tip (clamped to the state
+// round) and starts a new segment; the one after it unlinks the segment the
+// new anchor has passed; restart replay reads only the post-snapshot suffix,
+// and appends continue seamlessly.
 func TestCheckpointCompactsLog(t *testing.T) {
 	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
 	dir := t.TempDir()
@@ -96,17 +104,23 @@ func TestCheckpointCompactsLog(t *testing.T) {
 	}
 
 	const retain = 3
-	if err := log.Checkpoint(snapPath, 0, 39, []byte("state@39"), retain); err != nil {
+	written, err := log.Checkpoint(snapPath, 0, 39, []byte("state@39"), retain, anchorOf(blocks))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Base() != 37 || log.Tip() != 40 {
-		t.Fatalf("after checkpoint: base=%d tip=%d (want 37/40)", log.Base(), log.Tip())
+	if written == nil || written.BaseRound != 37 || written.BaseHash != blocks[36].Hash() {
+		t.Fatalf("checkpoint wrote %+v, want anchor 37", written)
 	}
-	if frames := countFrames(t, logPath); frames != retain {
-		t.Fatalf("compacted log holds %d frames, want %d", frames, retain)
+	// The only segment holds the anchor: nothing to unlink yet.
+	if log.Base() != 0 || log.Tip() != 40 || countFrames(t, logPath) != 40 {
+		t.Fatalf("after checkpoint: base=%d tip=%d frames=%d (want 0/40/40)", log.Base(), log.Tip(), countFrames(t, logPath))
+	}
+	// A checkpoint that would not advance the anchor is a no-op.
+	if again, err := log.Checkpoint(snapPath, 0, 39, nil, retain, anchorOf(blocks)); err != nil || again != nil {
+		t.Fatalf("repeated checkpoint: %+v, %v (want a no-op)", again, err)
 	}
 
-	// Appends continue across the compaction.
+	// Appends continue across the roll.
 	for _, blk := range blocks[40:] {
 		if err := log.Append(blk); err != nil {
 			t.Fatal(err)
@@ -136,15 +150,16 @@ func TestCheckpointCompactsLog(t *testing.T) {
 		t.Fatalf("reopened: base=%d tip=%d", log2.Base(), log2.Tip())
 	}
 
-	// A second checkpoint advances the anchor again.
-	if err := log2.Checkpoint(snapPath, 0, 43, nil, retain); err != nil {
-		t.Fatal(err)
+	// A second checkpoint anchors at 41: the segment of rounds 1..40 lies
+	// wholly below it and goes; the one of 41..44 holds the anchor and stays.
+	if written, err := log2.Checkpoint(snapPath, 0, 43, nil, retain, anchorOf(blocks)); err != nil || written == nil || written.BaseRound != 41 {
+		t.Fatalf("second checkpoint: %+v, %v (want anchor 41)", written, err)
 	}
-	if log2.Base() != 41 {
-		t.Fatalf("second checkpoint base=%d, want 41", log2.Base())
+	if log2.Base() != 40 {
+		t.Fatalf("second checkpoint base=%d, want 40", log2.Base())
 	}
-	if frames := countFrames(t, logPath); frames != retain {
-		t.Fatalf("after second checkpoint: %d frames, want %d", frames, retain)
+	if frames := countFrames(t, logPath); frames != 4 {
+		t.Fatalf("after second checkpoint: %d frames on disk, want 4", frames)
 	}
 }
 

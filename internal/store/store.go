@@ -5,9 +5,16 @@
 // reloads a prefix that BBFC-Finality guarantees will never change, and
 // rejoins the cluster from there via the normal catch-up path.
 //
-// The format is deliberately simple and self-healing: on open, the log is
-// replayed frame by frame; the first torn or corrupt frame (a crash mid
-// append) truncates the file to the last good boundary.
+// A log is a run of segment files: <path> itself, then <path>.<first round,
+// 20 digits> for each segment started later, each holding consecutive rounds
+// from the one in its name; appends go to the newest. A checkpoint writes a
+// snapshot, starts a new segment and unlinks the segments that lie wholly at
+// or below the snapshot's anchor: nothing is read or copied. (A log that has
+// never been checkpointed is the single file <path>, as it always was.)
+//
+// The format is deliberately simple and self-healing: on open, the segments
+// are replayed frame by frame; a torn or corrupt frame at the end of the
+// newest one (a crash mid append) truncates it to the last good boundary.
 package store
 
 import (
@@ -16,8 +23,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/flcrypto"
@@ -106,36 +117,81 @@ func encodeFrame(blk types.Block) *types.Encoder {
 	return e
 }
 
+// segment is one file of a log.
+type segment struct {
+	path string
+	// start is the first round the file holds, from its name; 0 for the
+	// unsuffixed file, a log's first segment, which sorts first.
+	start uint64
+}
+
+func segmentName(path string, start uint64) string {
+	return fmt.Sprintf("%s.%020d", path, start)
+}
+
+// listSegments finds the segment files of the log at path, oldest first.
+func listSegments(path string) ([]segment, error) {
+	dir, base := filepath.Split(path)
+	entries, err := os.ReadDir(filepath.Clean(dir))
+	if err != nil {
+		return nil, err
+	}
+	var segs []segment
+	for _, e := range entries {
+		name := e.Name()
+		if name == base {
+			segs = append(segs, segment{path: path})
+			continue
+		}
+		suffix, ok := strings.CutPrefix(name, base+".")
+		if !ok || len(suffix) != 20 {
+			continue
+		}
+		start, err := strconv.ParseUint(suffix, 10, 64)
+		if err != nil || start == 0 {
+			continue
+		}
+		segs = append(segs, segment{path: filepath.Join(dir, name), start: start})
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
+	return segs, nil
+}
+
 // BlockLog is one worker's persistent chain.
 //
-// Lock order: mu (tip/base/pending state) may be taken before ioMu (file
-// handle I/O), never the other way around. The group committer takes them
-// separately — state under mu, the write+fsync under ioMu alone — so
+// Lock order: mu (tip/base/segments/pending state) may be taken before ioMu
+// (file handle I/O), never the other way around. The group committer takes
+// them separately — state under mu, the write+fsync under ioMu alone — so
 // appends keep enqueueing while an fsync is in flight, which is what forms
 // the commit batches.
 type BlockLog struct {
-	mu     sync.Mutex
-	ioMu   sync.Mutex
-	f      *os.File
-	path   string
-	base   uint64 // round preceding the first frame (0 for a full log)
-	tip    uint64 // last persisted round
-	sync   bool
-	failed error // sticky group-commit I/O failure; appends refuse after it
+	mu   sync.Mutex
+	ioMu sync.Mutex
+	f    *os.File  // append handle on the newest segment
+	path string    // base name of the segment files
+	segs []segment // oldest first; never empty
+	// base is the round preceding the first readable frame: the snapshot
+	// anchor on open, the first retained segment's first round − 1 once a
+	// checkpoint has unlinked one (so at least `retain` rounds stay
+	// readable, usually more).
+	base uint64
+	// snapBase is the anchor of the newest snapshot loaded or written; a
+	// checkpoint that would not advance it is a no-op.
+	snapBase uint64
+	tip      uint64 // last persisted round
+	sync     bool
+	failed   error // sticky group-commit I/O failure; appends refuse after it
 
 	gc *groupCommitter // non-nil in group-commit mode
 
-	// readGen identifies the current log file; Checkpoint bumps it when it
-	// swaps the file, invalidating cached read offsets into the old one.
-	readGen uint64
 	// readCache remembers where the last ReadFrom stopped, so a cursor
 	// replay advancing sequentially (the clientapi pattern) resumes the
-	// frame scan at that byte offset instead of re-decoding the whole
+	// frame scan at that byte offset instead of re-decoding the segment's
 	// prefix — O(log) total per subscriber instead of O(log²). One entry:
-	// concurrent subscribers at different positions fall back to full
-	// scans, they just lose the shortcut.
+	// concurrent subscribers at different positions fall back to scanning
+	// their segment from its start, they just lose the shortcut.
 	readCache struct {
-		gen  uint64
+		seg  string // the segment off points into
 		next uint64 // the round expected at off
 		off  int64
 	}
@@ -205,26 +261,23 @@ func openAt(path string, opts Options, base uint64, baseHash flcrypto.Hash) (*Bl
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: mkdir: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	segs, err := listSegments(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", path, err)
+		return nil, nil, fmt.Errorf("store: list segments: %w", err)
 	}
-	blocks, goodBytes, err := replay(f, opts, base, baseHash)
-	if err != nil {
-		f.Close()
+	if len(segs) == 0 {
+		segs = []segment{{path: path}}
+	}
+	log := &BlockLog{path: path, segs: segs, base: base, snapBase: base, tip: base, sync: opts.Sync}
+	// A crash between a snapshot write and the unlinks that follow it leaves
+	// segments the snapshot covers; finish the job.
+	if err := log.dropThroughLocked(base); err != nil {
 		return nil, nil, err
 	}
-	// Truncate any torn tail so the next append starts at a frame
-	// boundary.
-	if err := f.Truncate(goodBytes); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: truncate: %w", err)
+	blocks, err := log.replay(opts, baseHash)
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := f.Seek(goodBytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: seek: %w", err)
-	}
-	log := &BlockLog{f: f, path: path, base: base, tip: base, sync: opts.Sync}
 	if len(blocks) > 0 {
 		log.tip = blocks[len(blocks)-1].Signed.Header.Round
 	}
@@ -238,25 +291,25 @@ func openAt(path string, opts Options, base uint64, baseHash flcrypto.Hash) (*Bl
 	return log, blocks, nil
 }
 
-// replay scans the file, returning the valid block suffix above base and
-// the byte offset of the end of the last good frame. Frames at rounds ≤
-// base (possible when a crash landed between snapshot write and log
-// compaction) are skimmed without verification — the snapshot covers them.
-func replay(f *os.File, opts Options, base uint64, baseHash flcrypto.Hash) ([]types.Block, int64, error) {
+// replay scans the segments in order, returning the valid block suffix above
+// base, and leaves l.f open at the end of the newest segment's last good
+// frame. Frames at rounds ≤ base (the snapshot anchor usually falls inside a
+// segment) are skimmed without verification — the snapshot covers them. Only
+// the newest segment may end in a torn frame: the others were complete when
+// their successor was started.
+func (l *BlockLog) replay(opts Options, baseHash flcrypto.Hash) ([]types.Block, error) {
 	var blocks []types.Block
 	var chainErr error
 	prevHash := baseHash
-	nextRound := base + 1
-	offset := scanFrames(f, func(payload []byte) scanAction {
+	nextRound := l.base + 1
+	visit := func(payload []byte) scanAction {
 		d := types.NewDecoder(payload)
 		blk := types.DecodeBlock(d)
 		if d.Finish() != nil {
 			return scanStopExclude
 		}
 		hdr := blk.Signed.Header
-		if hdr.Round <= base {
-			// Pre-snapshot frame left behind by an interrupted compaction:
-			// the snapshot supersedes it.
+		if hdr.Round <= l.base {
 			return scanContinue
 		}
 		// The replayed suffix must be a real chain: in-order rounds,
@@ -277,11 +330,82 @@ func replay(f *os.File, opts Options, base uint64, baseHash flcrypto.Hash) ([]ty
 		prevHash = blk.Hash()
 		nextRound++
 		return scanContinue
-	})
-	if chainErr != nil {
-		return nil, 0, chainErr
 	}
-	return blocks, offset, nil
+	for i, seg := range l.segs {
+		flags := os.O_RDONLY
+		if i == len(l.segs)-1 {
+			flags = os.O_RDWR | os.O_CREATE
+		}
+		f, err := os.OpenFile(seg.path, flags, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("store: open %s: %w", seg.path, err)
+		}
+		good := scanFrames(f, visit)
+		if chainErr != nil {
+			f.Close()
+			return nil, chainErr
+		}
+		if i < len(l.segs)-1 {
+			info, err := f.Stat()
+			f.Close()
+			if err != nil {
+				return nil, fmt.Errorf("store: stat %s: %w", seg.path, err)
+			}
+			if good != info.Size() {
+				return nil, fmt.Errorf("store: segment %s is corrupt at byte %d and is not the newest", seg.path, good)
+			}
+			continue
+		}
+		// Truncate any torn tail so the next append starts at a frame
+		// boundary.
+		if err := f.Truncate(good); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("store: truncate: %w", err)
+		}
+		if _, err := f.Seek(good, io.SeekStart); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("store: seek: %w", err)
+		}
+		l.f = f
+	}
+	return blocks, nil
+}
+
+// dropThroughLocked unlinks every segment that lies wholly at or below round
+// r — one whose successor starts at or below r+1 — and advances base to the
+// first retained round − 1. The newest segment always stays.
+func (l *BlockLog) dropThroughLocked(r uint64) error {
+	for len(l.segs) > 1 && l.segs[1].start <= r+1 {
+		if err := os.Remove(l.segs[0].path); err != nil {
+			return fmt.Errorf("store: unlink segment: %w", err)
+		}
+		l.segs = l.segs[1:]
+		if first := l.segs[0].start - 1; first > l.base {
+			l.base = first
+		}
+	}
+	return nil
+}
+
+// rollLocked starts a new segment for the rounds from start on and moves the
+// append handle to it. Callers hold mu and ioMu and have made sure the
+// current segment holds every round up to the tip.
+func (l *BlockLog) rollLocked(start uint64) error {
+	if l.segs[len(l.segs)-1].start == start {
+		return nil // nothing was appended since the last roll
+	}
+	seg := segment{path: segmentName(l.path, start), start: start}
+	f, err := os.OpenFile(seg.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: new segment: %w", err)
+	}
+	old := l.f
+	l.f = f
+	l.segs = append(l.segs, seg)
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("store: close segment: %w", err)
+	}
+	return nil
 }
 
 // ErrOutOfOrder reports an append that does not extend the persisted tip.
@@ -479,53 +603,72 @@ func (gc *groupCommitter) run() {
 // write each and a single fsync for the whole drain, then acks the waiters.
 // It loops until no pending batch remains, so appends that arrive during an
 // fsync are picked up immediately — that in-flight window is where batches
-// come from. Checkpoint and Close also call it directly to drain the log
-// before operating on the file; concurrent calls are safe (state is taken
-// under l.mu, I/O runs under ioMu).
+// come from.
 func (gc *groupCommitter) flush() {
 	gc.flushMu.Lock()
 	defer gc.flushMu.Unlock()
+	gc.drain()
+}
+
+// drain is flush for a caller that holds flushMu (Checkpoint, ResetToBase
+// and Close keep it while they operate on the file).
+func (gc *groupCommitter) drain() {
 	l := gc.l
 	for {
 		l.mu.Lock()
-		batches := gc.sealed
-		gc.sealed = nil
-		if gc.cur != nil {
-			batches = append(batches, gc.cur)
-			gc.cur = nil
-		}
+		batches := gc.takeLocked()
 		l.mu.Unlock()
 		if len(batches) == 0 {
 			return
 		}
-		var err error
-		frames := 0
-		l.ioMu.Lock()
-		for _, b := range batches {
-			frames += b.count
-			if err == nil {
-				_, err = l.f.Write(b.buf)
-			}
-		}
-		if err == nil {
-			err = l.f.Sync()
-		}
-		l.ioMu.Unlock()
-		if err != nil {
-			err = fmt.Errorf("store: group commit: %w", err)
+		if err := gc.write(batches); err != nil {
 			l.mu.Lock()
 			if l.failed == nil {
 				l.failed = err
 			}
 			l.mu.Unlock()
-		} else {
-			gc.stats.Observe(frames)
-		}
-		for _, b := range batches {
-			b.err = err
-			close(b.done)
 		}
 	}
+}
+
+// takeLocked removes and returns every pending batch. Callers hold l.mu.
+func (gc *groupCommitter) takeLocked() []*gcBatch {
+	batches := gc.sealed
+	gc.sealed = nil
+	if gc.cur != nil {
+		batches = append(batches, gc.cur)
+		gc.cur = nil
+	}
+	return batches
+}
+
+// write appends batches to the newest segment with one fsync and acks their
+// waiters with the outcome. Callers hold flushMu.
+func (gc *groupCommitter) write(batches []*gcBatch) error {
+	l := gc.l
+	var err error
+	frames := 0
+	l.ioMu.Lock()
+	for _, b := range batches {
+		frames += b.count
+		if err == nil {
+			_, err = l.f.Write(b.buf)
+		}
+	}
+	if err == nil && frames > 0 {
+		err = l.f.Sync()
+	}
+	l.ioMu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("store: group commit: %w", err)
+	} else if frames > 0 {
+		gc.stats.Observe(frames)
+	}
+	for _, b := range batches {
+		b.err = err
+		close(b.done)
+	}
+	return err
 }
 
 // stopAndFlush terminates the flush loop after a final drain.
@@ -541,40 +684,63 @@ func (l *BlockLog) Tip() uint64 {
 	return l.tip
 }
 
-// Base returns the round preceding the log's first frame (0 for a full
-// log; the snapshot anchor after a Checkpoint).
+// Base returns the round preceding the log's first readable frame (0 for a
+// full log; at or below the newest snapshot's anchor after a Checkpoint).
 func (l *BlockLog) Base() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base
 }
 
+// quiesce locks the log for an operation on its files and makes the newest
+// segment hold every round ≤ tip: pending group-commit batches are written
+// out first, the bulk of them before appenders are locked out. The returned
+// function unlocks.
+func (l *BlockLog) quiesce() (unlock func()) {
+	if l.gc == nil {
+		l.mu.Lock()
+		l.ioMu.Lock()
+		return func() { l.ioMu.Unlock(); l.mu.Unlock() }
+	}
+	l.gc.flushMu.Lock()
+	l.gc.drain()
+	l.mu.Lock()
+	if err := l.gc.write(l.gc.takeLocked()); err != nil && l.failed == nil {
+		l.failed = err
+	}
+	l.ioMu.Lock()
+	return func() { l.ioMu.Unlock(); l.mu.Unlock(); l.gc.flushMu.Unlock() }
+}
+
 // Checkpoint writes a snapshot anchored `retain` rounds below the persisted
-// tip and compacts the log to the post-anchor suffix, bounding restart
+// tip and drops the log segments the snapshot covers, bounding restart
 // replay to the last `retain` blocks plus whatever lands after. The retained
 // tail keeps recovery anchors reachable on the restarted node (callers pass
 // ≥ f+2). stateRound/state are the application checkpoint stored in the
 // snapshot (zero/nil when the deployment does not capture app state).
+// hashAt supplies the header hash at the anchor round (core.Chain.HashAt:
+// the chain holds every round the log does).
 //
-// Crash safety: the snapshot is written (atomically) before the log is
-// rewritten (atomically, via rename). A crash between the two leaves a
-// snapshot plus an uncompacted log, which replay handles by skimming the
-// pre-anchor frames. A no-op (anchor would not advance) returns nil.
-func (l *BlockLog) Checkpoint(snapPath string, instance uint32, stateRound uint64, state []byte, retain uint64) error {
-	if l.gc != nil {
-		// Drain pending group-commit batches so the scan below sees every
-		// appended frame in the file.
-		l.gc.flush()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
+// The cost does not depend on the log's size: one snapshot file, one new
+// empty segment, and an unlink per segment that lies wholly at or below the
+// anchor. Segments start where checkpoints happen, so up to one checkpoint
+// interval more than `retain` stays on disk and readable.
+//
+// Crash safety: the snapshot is written (atomically, fsynced) before any
+// segment is unlinked. A crash in between leaves a snapshot plus the
+// segments it covers, which the next open unlinks; a crash after the new
+// segment's creation leaves it empty, which replays as nothing.
+//
+// It returns the snapshot it wrote, or nil when the anchor would not advance
+// (or the chain no longer holds it: a snapshot install re-anchored it).
+func (l *BlockLog) Checkpoint(snapPath string, instance uint32, stateRound uint64, state []byte, retain uint64,
+	hashAt func(round uint64) (flcrypto.Hash, bool)) (*Snapshot, error) {
+	defer l.quiesce()()
 	if l.failed != nil {
-		return l.failed
+		return nil, l.failed
 	}
 	if l.tip <= retain {
-		return nil
+		return nil, nil
 	}
 	newBase := l.tip - retain
 	// Never compact past the application checkpoint: rounds above stateRound
@@ -585,128 +751,55 @@ func (l *BlockLog) Checkpoint(snapPath string, instance uint32, stateRound uint6
 	if stateRound > 0 && newBase > stateRound {
 		newBase = stateRound
 	}
-	if newBase <= l.base {
-		return nil
+	if newBase <= l.snapBase {
+		return nil, nil
 	}
-
-	// Scan the current log (through an independent read handle; the page
-	// cache keeps it coherent with recent appends) for the anchor hash and
-	// the byte offset of the first post-anchor frame.
-	r, err := os.Open(l.path)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint open: %w", err)
+	baseHash, ok := hashAt(newBase)
+	if !ok {
+		return nil, nil
 	}
-	defer r.Close()
-	var baseHash flcrypto.Hash
-	found := false
-	cut := scanFrames(r, func(payload []byte) scanAction {
-		d := types.NewDecoder(payload)
-		blk := types.DecodeBlock(d)
-		if d.Finish() != nil {
-			return scanStopExclude
-		}
-		if blk.Signed.Header.Round == newBase {
-			baseHash = blk.Hash()
-			found = true
-			return scanStopInclude
-		}
-		return scanContinue
-	})
-	if !found {
-		return fmt.Errorf("store: checkpoint anchor round %d not found in log", newBase)
-	}
-
-	if err := WriteSnapshot(snapPath, Snapshot{
+	snap := &Snapshot{
 		Instance:   instance,
 		BaseRound:  newBase,
 		BaseHash:   baseHash,
 		StateRound: stateRound,
 		State:      state,
-	}); err != nil {
-		return err
 	}
-
-	// Rewrite the log as the post-anchor suffix and swap it in.
-	end, err := l.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint seek: %w", err)
+	if err := WriteSnapshot(snapPath, *snap); err != nil {
+		return nil, err
 	}
-	tmp := l.path + ".tmp"
-	w, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint tmp: %w", err)
+	l.snapBase = newBase
+	if err := l.rollLocked(l.tip + 1); err != nil {
+		return nil, err
 	}
-	if _, err := io.Copy(w, io.NewSectionReader(r, cut, end-cut)); err != nil {
-		w.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint copy: %w", err)
+	if err := l.dropThroughLocked(newBase); err != nil {
+		return nil, err
 	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint fsync: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint rename: %w", err)
-	}
-	nf, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint reopen: %w", err)
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		nf.Close()
-		return fmt.Errorf("store: checkpoint seek new: %w", err)
-	}
-	l.f.Close()
-	l.f = nf
-	l.base = newBase
-	l.readGen++ // cached read offsets point into the old file
-	return nil
+	return snap, nil
 }
 
-// ResetToBase re-anchors the log on a snapshot-transfer base: every persisted
-// frame is discarded and the next appendable round becomes newBase+1. The
-// caller must have written the snapshot covering rounds ≤ newBase first
-// (WriteSnapshot is atomic) — a crash after the snapshot write but before
-// this truncation is safe because replay skims frames at rounds ≤ base.
+// ResetToBase re-anchors the log on a snapshot-transfer base: every segment
+// is discarded and the next appendable round becomes newBase+1. The caller
+// must have written the snapshot covering rounds ≤ newBase first
+// (WriteSnapshot is atomic) — a crash after the snapshot write but before or
+// during the unlinks is safe because replay skims frames at rounds ≤ base.
 // newBase must be strictly above the current tip: snapshot transfer only
 // installs state from beyond the local horizon, so nothing durable is lost.
 func (l *BlockLog) ResetToBase(newBase uint64) error {
-	if l.gc != nil {
-		// Drain in-flight batches first; their waiters must be acked before
-		// the file is truncated out from under them.
-		l.gc.flush()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
+	// Pending batches are written out first: their waiters must be acked
+	// before the files go away under them.
+	defer l.quiesce()()
 	if l.failed != nil {
 		return l.failed
 	}
 	if newBase <= l.tip {
 		return fmt.Errorf("store: reset to base %d at or below tip %d", newBase, l.tip)
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: reset truncate: %w", err)
+	if err := l.rollLocked(newBase + 1); err != nil {
+		return err
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: reset seek: %w", err)
-	}
-	if l.sync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("store: reset fsync: %w", err)
-		}
-	}
-	l.base = newBase
-	l.tip = newBase
-	l.readGen++ // cached read offsets point into the discarded content
-	return nil
+	l.base, l.snapBase, l.tip = newBase, newBase, newBase
+	return l.dropThroughLocked(newBase)
 }
 
 // ErrCompacted reports a read below the log's compaction base: those rounds
@@ -715,14 +808,15 @@ var ErrCompacted = errors.New("store: rounds compacted away")
 
 // ReadFrom returns up to max consecutive definite blocks starting at round
 // `from`, read back from the on-disk log — the historical half of a client
-// cursor replay (internal/clientapi). Only what is physically in the file is
+// cursor replay (internal/clientapi). Only what is physically in the files is
 // returned: with group commit, rounds whose batch has not flushed yet are
 // simply absent and the caller tops up from the in-memory chain. A `from` at
 // or below the compaction base returns ErrCompacted (the retained tail no
-// longer covers the cursor); a `from` beyond the file's content returns an
-// empty slice.
+// longer covers the cursor), as does a read that loses its segment to a
+// concurrent checkpoint; a `from` beyond the log's content returns an empty
+// slice.
 //
-// The scan reads through an independent handle (the page cache keeps it
+// The scan reads through independent handles (the page cache keeps them
 // coherent with the append handle), so readers never contend with the append
 // path for file position.
 func (l *BlockLog) ReadFrom(from uint64, max int) ([]types.Block, error) {
@@ -732,10 +826,15 @@ func (l *BlockLog) ReadFrom(from uint64, max int) ([]types.Block, error) {
 	l.mu.Lock()
 	base := l.base
 	failed := l.failed
-	gen := l.readGen
-	startOff := int64(0)
-	if l.readCache.gen == gen && l.readCache.next == from {
-		startOff = l.readCache.off
+	// Start in the last segment that begins at or below `from`.
+	first := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].start > from }) - 1
+	if first < 0 {
+		first = 0
+	}
+	segs := append([]segment(nil), l.segs[first:]...)
+	off := int64(0)
+	if l.readCache.next == from && l.readCache.seg == segs[0].path {
+		off = l.readCache.off
 	}
 	l.mu.Unlock()
 	if failed != nil {
@@ -744,19 +843,44 @@ func (l *BlockLog) ReadFrom(from uint64, max int) ([]types.Block, error) {
 	if from <= base {
 		return nil, fmt.Errorf("%w: round %d at or below base %d", ErrCompacted, from, base)
 	}
-	r, err := os.Open(l.path)
-	if err != nil {
-		return nil, fmt.Errorf("store: read open: %w", err)
-	}
-	defer r.Close()
-	if startOff > 0 {
-		if _, err := r.Seek(startOff, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("store: read seek: %w", err)
-		}
-	}
 	var blocks []types.Block
 	next := from
-	gap := false
+	i := 0
+	for {
+		consumed, err := readSegment(segs[i].path, off, &next, &blocks, max)
+		if err != nil {
+			return nil, err
+		}
+		off += consumed
+		if len(blocks) >= max || i == len(segs)-1 {
+			break
+		}
+		i, off = i+1, 0
+	}
+	// Round `next` is (or will be appended) exactly at off in segs[i] — or
+	// at the start of a later segment, which the next call finds by round —
+	// so a sequential reader can resume here.
+	l.mu.Lock()
+	l.readCache.seg, l.readCache.next, l.readCache.off = segs[i].path, next, off
+	l.mu.Unlock()
+	return blocks, nil
+}
+
+// readSegment appends to blocks the consecutive rounds from *next on that
+// the segment at path holds from byte off, up to max blocks in all, and
+// returns how many bytes it consumed.
+func readSegment(path string, off int64, next *uint64, blocks *[]types.Block, max int) (int64, error) {
+	r, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("%w: segment of round %d unlinked by a checkpoint", ErrCompacted, *next)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: read open: %w", err)
+	}
+	defer r.Close()
+	if _, err := r.Seek(off, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("store: read seek: %w", err)
+	}
 	consumed := scanFrames(r, func(payload []byte) scanAction {
 		d := types.NewDecoder(payload)
 		blk := types.DecodeBlock(d)
@@ -764,35 +888,20 @@ func (l *BlockLog) ReadFrom(from uint64, max int) ([]types.Block, error) {
 			return scanStopExclude
 		}
 		round := blk.Signed.Header.Round
-		if round < next {
+		if round < *next {
 			return scanContinue // skim the prefix below the cursor
 		}
-		if round != next {
-			gap = true
-			return scanStopExclude // a concurrent compaction swapped the file
+		if round != *next {
+			return scanStopExclude
 		}
-		blocks = append(blocks, blk)
-		next++
-		if len(blocks) >= max {
+		*blocks = append(*blocks, blk)
+		*next++
+		if len(*blocks) >= max {
 			return scanStopInclude
 		}
 		return scanContinue
 	})
-	if !gap {
-		// The scan stopped either after max blocks or at the end of the
-		// valid frames; in both cases round `next` is (or will be appended)
-		// exactly at this offset, so the following sequential read can
-		// resume here. Skipped when Checkpoint swapped the file mid-scan —
-		// the bumped generation would reject the entry anyway.
-		l.mu.Lock()
-		if l.readGen == gen {
-			l.readCache.gen = gen
-			l.readCache.next = next
-			l.readCache.off = startOff + consumed
-		}
-		l.mu.Unlock()
-	}
-	return blocks, nil
+	return consumed, nil
 }
 
 // Close drains any pending group-commit batches, flushes, and closes the
@@ -801,10 +910,7 @@ func (l *BlockLog) Close() error {
 	if l.gc != nil {
 		l.gc.stopAndFlush()
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
+	defer l.quiesce()()
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return err

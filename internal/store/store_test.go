@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,6 +26,17 @@ func buildBlocks(t *testing.T, ks *flcrypto.KeySet, instance uint32, n int) []ty
 		prev = blk.Hash()
 	}
 	return out
+}
+
+// anchorOf serves Checkpoint's anchor lookup from a test chain (blocks[i] is
+// round i+1), the way core.Chain.HashAt does on a node.
+func anchorOf(blocks []types.Block) func(uint64) (flcrypto.Hash, bool) {
+	return func(round uint64) (flcrypto.Hash, bool) {
+		if round == 0 || round > uint64(len(blocks)) {
+			return flcrypto.Hash{}, false
+		}
+		return blocks[round-1].Hash(), true
+	}
 }
 
 func TestStoreAppendReopenReplay(t *testing.T) {
@@ -261,8 +273,8 @@ func TestStoreReadFrom(t *testing.T) {
 
 // TestStoreReadFromSequentialCache: consecutive cursor reads (the clientapi
 // replay pattern) resume at the cached byte offset, and the cache survives
-// interleaved appends and is invalidated by Checkpoint's file swap — the
-// results must be indistinguishable from full scans throughout.
+// interleaved appends and a checkpoint's roll to a new segment — the results
+// must be indistinguishable from full scans throughout.
 func TestStoreReadFromSequentialCache(t *testing.T) {
 	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
 	dir := t.TempDir()
@@ -302,12 +314,21 @@ func TestStoreReadFromSequentialCache(t *testing.T) {
 		}
 	}
 	check(21, 8, 8) // the frontier offset stays valid across appends
-	// Checkpoint rewrites the file; the stale offset must not leak in.
-	if err := log.Checkpoint(filepath.Join(dir, "w0.snap"), 0, 0, nil, 8); err != nil {
+	// Checkpoint starts a new segment; the offset cached into the old one
+	// stays good, and a read runs on across the boundary.
+	if _, err := log.Checkpoint(filepath.Join(dir, "w0.snap"), 0, 0, nil, 8, anchorOf(blocks)); err != nil {
 		t.Fatal(err)
 	}
-	check(29, 4, 2) // post-compaction read (base 22), fresh scan
-	check(23, 8, 8) // backwards jump: cache miss, still exact
+	for _, blk := range blocks[30:] {
+		if err := log.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(29, 8, 8)  // cached offset in the first segment, on into the second
+	check(37, 8, 4)  // cached offset in the second segment
+	check(23, 8, 8)  // backwards jump: cache miss, still exact
+	check(31, 2, 2)  // a segment's first round
+	check(1, 40, 40) // everything, across the boundary
 }
 
 func TestStoreReadFromCompacted(t *testing.T) {
@@ -320,30 +341,36 @@ func TestStoreReadFromCompacted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	for _, blk := range buildBlocks(t, ks, 0, 20) {
-		if err := log.Append(blk); err != nil {
+	blocks := buildBlocks(t, ks, 0, 40)
+	// Two checkpoint cycles, retaining 5 rounds below the tip: the second
+	// anchors at 35 and unlinks the segment of rounds 1..20, which lies
+	// wholly below it; the segment of 21..40 holds the anchor and stays.
+	for _, upTo := range []int{20, 40} {
+		for _, blk := range blocks[upTo-20 : upTo] {
+			if err := log.Append(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		written, err := log.Checkpoint(snap, 0, 0, nil, 5, anchorOf(blocks))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want := uint64(upTo - 5); written == nil || written.BaseRound != want {
+			t.Fatalf("checkpoint at tip %d wrote %+v, want anchor %d", upTo, written, want)
+		}
 	}
-	// Compact away rounds 1..15 (retain 5 below the tip).
-	if err := log.Checkpoint(snap, 0, 0, nil, 5); err != nil {
-		t.Fatal(err)
+	if log.Base() != 20 {
+		t.Fatalf("base after the second checkpoint = %d, want 20", log.Base())
 	}
-	if log.Base() != 15 {
-		t.Fatalf("base after checkpoint = %d", log.Base())
+	if _, err := log.ReadFrom(10, 4); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read below the compaction base: %v, want ErrCompacted", err)
 	}
-	if _, err := log.ReadFrom(10, 4); err == nil {
-		t.Fatal("read below the compaction base must fail")
-	}
-	got, err := log.ReadFrom(16, 10)
+	got, err := log.ReadFrom(21, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 5 {
-		t.Fatalf("post-compaction read returned %d blocks, want 5", len(got))
-	}
-	if got[0].Signed.Header.Round != 16 {
-		t.Fatalf("first retained round = %d", got[0].Signed.Header.Round)
+	if len(got) != 20 || got[0].Signed.Header.Round != 21 {
+		t.Fatalf("post-compaction read returned %d blocks from round %d, want 20 from 21", len(got), got[0].Signed.Header.Round)
 	}
 }
 

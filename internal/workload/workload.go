@@ -7,8 +7,11 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,19 +26,55 @@ import (
 // transactions to a proposer; if the block carrying them never becomes
 // definite, the lease expires and the transactions become available again,
 // so client submissions are not lost to rescinded tentative blocks.
+//
+// A write is identified by (Client, Seq) — the identity commit receipts use
+// — so no operation hashes a payload, and every operation is O(1) per
+// transaction. Memory is bounded by the writes in the pool plus, per client,
+// the runs of consecutive committed sequence numbers (a session mints
+// seq+1 per write, so a client is normally one run per session).
+//
+// The contract: a write already committed, queued or leased is not queued
+// again; an expired lease re-queues its writes (at-least-once inclusion);
+// Committed counts distinct writes. Identity without the payload has one
+// cost: a Byzantine proposer can commit a forged (Client, Seq). A forgery
+// whose payload differs from the pooled write's does not retire that write
+// (MarkCommitted compares the bytes on a hit), but one that lands before the
+// honest write was submitted here makes Add drop it, exactly as it already
+// resolves that write's receipt.
 type Pool struct {
 	leaseTimeout time.Duration
 
-	mu        sync.Mutex
-	queue     []types.Transaction
-	leased    map[flcrypto.Hash]leasedTx
-	committed map[flcrypto.Hash]bool
-	nCommit   atomic.Uint64
+	mu      sync.Mutex
+	queue   []*pooled          // FIFO of writes waiting for a proposer
+	pending map[txKey]*pooled  // every write in the pool, queued or leased
+	leases  []*lease           // grants in time order: expiry pops the front
+	clients map[uint64]*client // per client id: committed runs, pooled count
+	nCommit atomic.Uint64
 }
 
-type leasedTx struct {
-	tx    types.Transaction
+type txKey struct{ client, seq uint64 }
+
+// pooled is one write in the pool. lease is nil while it waits in the queue;
+// retired marks a copy still referenced by the queue or a lease after its
+// write committed.
+type pooled struct {
+	tx      types.Transaction
+	lease   *lease
+	retired bool
+}
+
+// lease is one NextBatch grant. live counts its writes not yet committed, so
+// a fully committed grant leaves the FIFO without being walked.
+type lease struct {
 	since time.Time
+	txs   []*pooled
+	live  int
+}
+
+// client is what the pool remembers about one client id.
+type client struct {
+	committed seqRuns
+	pooled    int // this client's entries in Pool.pending
 }
 
 // NewPool creates a pool. leaseTimeout guards against transactions leased
@@ -46,24 +85,35 @@ func NewPool(leaseTimeout time.Duration) *Pool {
 	}
 	return &Pool{
 		leaseTimeout: leaseTimeout,
-		leased:       make(map[flcrypto.Hash]leasedTx),
-		committed:    make(map[flcrypto.Hash]bool),
+		pending:      make(map[txKey]*pooled),
+		clients:      make(map[uint64]*client),
 	}
 }
 
-// Add submits a transaction. Duplicates of committed transactions are
-// dropped.
+// clientLocked returns (creating) the record of client id.
+func (p *Pool) clientLocked(id uint64) *client {
+	c := p.clients[id]
+	if c == nil {
+		c = &client{}
+		p.clients[id] = c
+	}
+	return c
+}
+
+// Add submits a transaction. A write already committed or already in the
+// pool is dropped.
 func (p *Pool) Add(tx types.Transaction) {
-	id := tx.ID()
+	key := txKey{tx.Client, tx.Seq}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.committed[id] {
+	c := p.clientLocked(tx.Client)
+	if c.committed.contains(tx.Seq) || p.pending[key] != nil {
 		return
 	}
-	if _, inFlight := p.leased[id]; inFlight {
-		return
-	}
-	p.queue = append(p.queue, tx)
+	e := &pooled{tx: tx}
+	p.pending[key] = e
+	c.pooled++
+	p.queue = append(p.queue, e)
 }
 
 // NextBatch leases up to max transactions (core.TxSource).
@@ -71,50 +121,145 @@ func (p *Pool) NextBatch(max int) []types.Transaction {
 	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Reclaim expired leases first.
-	for id, l := range p.leased {
-		if now.Sub(l.since) > p.leaseTimeout {
-			delete(p.leased, id)
-			p.queue = append(p.queue, l.tx)
+	// Reclaim expired leases first. Grants sit in time order, so only the
+	// front can have expired; a grant whose writes all committed just leaves.
+	for len(p.leases) > 0 {
+		l := p.leases[0]
+		if l.live > 0 && now.Sub(l.since) <= p.leaseTimeout {
+			break
+		}
+		p.leases[0] = nil
+		p.leases = p.leases[1:]
+		for _, e := range l.txs {
+			if !e.retired {
+				e.lease = nil
+				p.queue = append(p.queue, e)
+			}
 		}
 	}
-	n := len(p.queue)
-	if n > max {
-		n = max
+	batch := make([]types.Transaction, 0, min(max, len(p.queue)))
+	grant := &lease{since: now}
+	for len(p.queue) > 0 && len(batch) < max {
+		e := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+		if e.retired {
+			continue // committed while it waited (an expired lease's late commit)
+		}
+		e.lease = grant
+		grant.txs = append(grant.txs, e)
+		batch = append(batch, e.tx)
 	}
-	batch := make([]types.Transaction, n)
-	copy(batch, p.queue[:n])
-	p.queue = p.queue[n:]
-	for _, tx := range batch {
-		p.leased[tx.ID()] = leasedTx{tx: tx, since: now}
+	if grant.live = len(grant.txs); grant.live > 0 {
+		p.leases = append(p.leases, grant)
 	}
 	return batch
 }
 
 // MarkCommitted retires transactions that reached a definite block
-// (core.TxSource).
+// (core.TxSource). Every node sees every block, so the common case — a
+// client this pool holds nothing of — costs one map lookup per change of
+// client within the block and one run extension per transaction.
 func (p *Pool) MarkCommitted(txs []types.Transaction) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, tx := range txs {
-		id := tx.ID()
-		delete(p.leased, id)
-		if !p.committed[id] {
-			p.committed[id] = true
-			p.nCommit.Add(1)
+	var c *client
+	var cid uint64
+	fresh := uint64(0)
+	for i := range txs {
+		tx := &txs[i]
+		if c == nil || cid != tx.Client {
+			c, cid = p.clientLocked(tx.Client), tx.Client
+		}
+		if c.pooled > 0 {
+			key := txKey{tx.Client, tx.Seq}
+			if e := p.pending[key]; e != nil {
+				if !bytes.Equal(e.tx.Payload, tx.Payload) {
+					// A forged identity: the honest write stays in the pool
+					// and stays committable.
+					continue
+				}
+				delete(p.pending, key)
+				c.pooled--
+				e.retired = true
+				if e.lease != nil {
+					e.lease.live--
+				}
+			}
+		}
+		if c.committed.add(tx.Seq) {
+			fresh++
 		}
 	}
+	p.nCommit.Add(fresh)
 }
 
 // Pending reports the number of transactions waiting (available + leased).
 func (p *Pool) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue) + len(p.leased)
+	return len(p.pending)
 }
 
 // Committed reports how many distinct transactions have been finalized.
 func (p *Pool) Committed() uint64 { return p.nCommit.Load() }
+
+// seqRun is the closed interval [lo, hi] of committed sequence numbers.
+type seqRun struct{ lo, hi uint64 }
+
+// seqRuns is one client's committed sequence numbers as disjoint,
+// non-adjacent runs in ascending order.
+type seqRuns []seqRun
+
+// maxRuns bounds one client's runs. A run boundary is a sequence number the
+// client skipped or whose write never committed; past the bound the two
+// oldest runs merge, which declares the numbers between them committed too.
+// A session's numbers only grow, so those can no longer arrive.
+const maxRuns = 4096
+
+// find returns the index of the first run that contains seq or ends just
+// before it, or len(r).
+func (r seqRuns) find(seq uint64) int {
+	return sort.Search(len(r), func(i int) bool { return r[i].hi >= seq || r[i].hi+1 == seq })
+}
+
+func (r seqRuns) contains(seq uint64) bool {
+	i := r.find(seq)
+	return i < len(r) && r[i].lo <= seq && seq <= r[i].hi
+}
+
+// add records seq and reports whether it was new.
+func (r *seqRuns) add(seq uint64) bool {
+	s := *r
+	// In-order commits extend the newest run.
+	if n := len(s); n > 0 && s[n-1].hi+1 == seq && seq != 0 {
+		s[n-1].hi = seq
+		return true
+	}
+	i := s.find(seq)
+	switch {
+	case i == len(s):
+		s = append(s, seqRun{seq, seq})
+	case s[i].lo <= seq && seq <= s[i].hi:
+		return false
+	case s[i].hi+1 == seq && seq != 0: // seq 0 does not follow the highest number
+		s[i].hi = seq
+		if i+1 < len(s) && s[i+1].lo == seq+1 {
+			s[i].hi = s[i+1].hi
+			s = slices.Delete(s, i+1, i+2)
+		}
+	case s[i].lo == seq+1:
+		s[i].lo = seq
+	default:
+		s = slices.Insert(s, i, seqRun{seq, seq})
+	}
+	if len(s) > maxRuns {
+		s[1].lo = s[0].lo
+		s = s[1:]
+	}
+	*r = s
+	return true
+}
 
 // Generator produces random transactions of a fixed payload size — the
 // paper's σ-byte random transactions (Table 2).
