@@ -246,25 +246,6 @@ func BenchmarkFig16(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyPipeline measures the saturated-throughput effect of the
-// asynchronous verification pipeline (verify pool + cache + mailbox
-// dispatch) against the synchronous-inline ablation, at the Fig 7 heavy
-// corner. The micro-benchmarks behind BENCH_verify.json live in
-// internal/flcrypto; this one shows the end-to-end difference.
-func BenchmarkVerifyPipeline(b *testing.B) {
-	for _, mode := range []struct {
-		name            string
-		sync, batchless bool
-	}{{"pooled", false, false}, {"pooled-nobatch", false, true}, {"sync", true, false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := benchOpts(4, 4, 200, 512)
-			opts.SyncVerify = mode.sync
-			opts.DisableBatchVerify = mode.batchless
-			reportFLO(b, opts)
-		})
-	}
-}
-
 // BenchmarkFig17 compares FLO and the PBFT ordering service (the BFT-SMaRt
 // stand-in).
 func BenchmarkFig17(b *testing.B) {

@@ -6,50 +6,33 @@
 //	flbench -exp fig7            # quick profile of Fig 7's sweep
 //	flbench -exp fig16 -full     # paper-scale FLO vs HotStuff comparison
 //	flbench -exp all             # the whole evaluation, in paper order
-//	flbench -exp workers -out BENCH_workers.json   # ω scaling artifact
-//	flbench -exp state -out BENCH_state.json       # state-backend artifact
-//	flbench -exp fanout -out BENCH_fanout.json     # fan-out hub artifact
-//	flbench -exp verify -out verify.json           # verification-mode sweep
 //	flbench -list                # what's available
 //
 // The quick profile compresses sweeps and measurement windows so the full
 // set finishes in minutes; -full approximates the paper's Table 2
-// parameters (expect a long run). Absolute numbers depend on the host —
-// the *shapes* (who wins, how metrics scale with n, ω, β, σ) are the
-// reproduction targets; see EXPERIMENTS.md.
+// parameters (expect a long run). Everything here runs in one process on
+// the simulated network, so absolute numbers depend on the host — the
+// *shapes* (who wins, how metrics scale with n, ω, β, σ) are the
+// reproduction targets. End-to-end numbers for this implementation (client
+// Submit over TCP to COMMIT receipt, separate node processes) come from
+// `go run ./benchmark`, not from here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
 	"repro/internal/harness"
 )
 
-// benchDoc is the shape of the JSON artifacts (BENCH_workers.json,
-// BENCH_state.json): the cells plus enough environment metadata to read the
-// numbers honestly.
-type benchDoc struct {
-	Date      string `json:"date"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	GoVersion string `json:"go_version"`
-	Profile   string `json:"profile"`
-	Cells     any    `json:"cells"`
-}
-
 func main() {
 	var (
-		exp  = flag.String("exp", "", "experiment to run: workers, table1, fig5..fig17, or all")
+		exp  = flag.String("exp", "", "experiment to run: table1, fig5..fig17, ext-*, or all")
 		full = flag.Bool("full", false, "paper-scale parameters instead of the quick profile")
 		list = flag.Bool("list", false, "list available experiments")
-		out  = flag.String("out", "", "for -exp workers: also write the cells as JSON to this path")
 	)
 	flag.Parse()
 
@@ -71,77 +54,8 @@ func main() {
 	}
 
 	scale := harness.Quick
-	profile := "quick"
 	if *full {
 		scale = harness.Full
-		profile = "full"
-	}
-
-	if *out != "" {
-		start := time.Now()
-		var cells any
-		switch *exp {
-		case "workers":
-			ws := harness.WorkersSweep(scale)
-			cells = ws
-			fmt.Printf("# workers: tps vs omega, n=4, batch=100, sigma=512, single data-center\n")
-			fmt.Printf("gomaxprocs\tworkers\ttps\tp50-ms\tp99-ms\tblocks\n")
-			for _, c := range ws {
-				fmt.Printf("%d\t%d\t%.0f\t%.2f\t%.2f\t%d\n",
-					c.GoMaxProcs, c.Workers, c.TPS, c.P50Ms, c.P99Ms, c.Blocks)
-			}
-		case "state":
-			ss := harness.StateSweep(scale)
-			cells = ss
-			fmt.Printf("# state: write tps + read rates vs backend, n=4, batch=100, sigma=512, single data-center\n")
-			fmt.Printf("backend\tworkers\ttps\tgets/s\tscans/s\tp50-ms\tblocks\n")
-			for _, c := range ss {
-				fmt.Printf("%s\t%d\t%.0f\t%.0f\t%.0f\t%.2f\t%d\n",
-					c.Backend, c.Workers, c.TPS, c.GetsPerSec, c.ScansPerSec, c.P50Ms, c.Blocks)
-			}
-		case "fanout":
-			fs := harness.FanoutSweep(scale)
-			cells = fs
-			fmt.Printf("# fanout: shared fan-out hub vs subscriber count, n=4, workers=1, batch=100, sigma=256, single data-center\n")
-			fmt.Printf("subs\tfiltered\tstalled\ttps\tdeliv/s\tlag-p50-ms\tlag-p99-ms\tenc/blk\tshare-ratio\tdemotions\treplays\toverflow\n")
-			for _, c := range fs {
-				fmt.Printf("%d\t%t\t%t\t%.0f\t%.0f\t%.2f\t%.2f\t%.2f\t%.1f\t%d\t%d\t%d\n",
-					c.Subs, c.Filtered, c.Stalled, c.TPS, c.DeliveriesPerSec, c.LagP50Ms, c.LagP99Ms,
-					c.EncodesPerBlock, c.SharingRatio, c.Demotions, c.CohortReplays, c.OverflowDisconnects)
-			}
-		case "verify":
-			vs := harness.VerifySweep(scale)
-			cells = vs
-			fmt.Printf("# verify: tps vs verification mode, n=4, workers=4, batch=200, sigma=512\n")
-			fmt.Printf("latency\tmode\ttps\tp50-ms\tblocks\tbatches\tavg-batch\tbisections\tsingles\n")
-			for _, c := range vs {
-				fmt.Printf("%s\t%s\t%.0f\t%.2f\t%d\t%d\t%.1f\t%d\t%d\n",
-					c.Latency, c.Mode, c.TPS, c.P50Ms, c.Blocks, c.Batches, c.AvgBatch, c.Bisections, c.Singles)
-			}
-		default:
-			fmt.Fprintln(os.Stderr, "-out is only supported with -exp workers, state, fanout, or verify")
-			os.Exit(2)
-		}
-		doc := benchDoc{
-			Date:      time.Now().UTC().Format("2006-01-02"),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			NumCPU:    runtime.NumCPU(),
-			GoVersion: runtime.Version(),
-			Profile:   profile,
-			Cells:     cells,
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("# %s done in %v; wrote %s\n", *exp, time.Since(start).Round(time.Millisecond), *out)
-		return
 	}
 
 	run := func(name string) {

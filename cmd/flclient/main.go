@@ -2,15 +2,12 @@
 // the Session API (fireledger.Dial): concurrent sessions submit random
 // transactions at a configurable rate, every write waits for its commit
 // receipt, and the run reports sustained committed throughput plus
-// submit→commit latency percentiles (optionally as JSON, the format of
-// BENCH_clientapi.json).
+// submit→commit latency percentiles.
 //
 //	flclient -node 127.0.0.1:9000 -clients 4 -size 512 -rate 1000 -duration 30s
 //
-// With -selfhost the command instead boots its own 4-node loopback-TCP
-// cluster in-process and benches against it — the zero-setup round trip:
-//
-//	flclient -selfhost -clients 4 -size 256 -duration 10s -out BENCH_clientapi.json
+// It is the operator's load and subscribe tool, not a measuring instrument:
+// recorded numbers come from `go run ./benchmark`.
 //
 // With -subscribe an extra session streams the merged definite block
 // sequence from cursor zero for the whole run and the block count is
@@ -18,33 +15,26 @@
 // submission load.
 //
 // With -subscribers N the run additionally attaches N concurrent streaming
-// sessions over real TCP, all from cursor zero — the fan-out smoke: every
-// stream must be gap-free (each session checks its merged-position sequence
-// is exactly 0,1,2,...), and the run exits nonzero if any stream gapped or
-// died. The soft file-descriptor limit is raised to the hard ceiling first:
+// sessions, all from cursor zero: every stream must be gap-free (each
+// session checks its merged-position sequence is exactly 0,1,2,...), and the
+// run exits nonzero if any stream gapped or died. The soft file-descriptor
+// limit is raised to the hard ceiling first:
 //
-//	flclient -selfhost -subscribers 5000 -clients 2 -duration 10s
+//	flclient -node 127.0.0.1:9000 -subscribers 5000 -clients 2 -duration 10s
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"math/rand"
-	"net"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	fireledger "repro"
 	"repro/internal/clientapi"
-	"repro/internal/flcrypto"
 	"repro/internal/metrics"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -58,18 +48,8 @@ func main() {
 		duration  = flag.Duration("duration", 30*time.Second, "how long to submit")
 		subscribe = flag.Bool("subscribe", false, "also stream the merged definite blocks from cursor 0 during the run")
 		subsN     = flag.Int("subscribers", 0, "attach this many concurrent streaming sessions from cursor 0; each asserts a gap-free stream")
-		selfhost  = flag.Bool("selfhost", false, "boot an in-process 4-node loopback cluster and bench against it")
-		workers   = flag.Int("workers", 1, "with -selfhost: worker instances (omega) per node")
-		out       = flag.String("out", "", "write the result as JSON to this file")
 	)
 	flag.Parse()
-
-	addr := *node
-	if *selfhost {
-		var stop func()
-		addr, stop = startSelfhostCluster(*workers)
-		defer stop()
-	}
 
 	hist := metrics.NewHistogram(1 << 20)
 	var submitted, committed, failed, streamed atomic.Uint64
@@ -77,7 +57,7 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if *subscribe {
-		sess, err := fireledger.Dial(addr, *idBase+uint64(*clients))
+		sess, err := fireledger.Dial(*node, *idBase+uint64(*clients))
 		if err != nil {
 			log.Fatalf("dial subscriber: %v", err)
 		}
@@ -125,7 +105,7 @@ func main() {
 					}
 				}
 				defer release()
-				c, err := clientapi.Dial(addr, subIDBase+uint64(i), clientapi.DialOptions{Timeout: time.Minute})
+				c, err := clientapi.Dial(*node, subIDBase+uint64(i), clientapi.DialOptions{Timeout: time.Minute})
 				if err != nil {
 					log.Printf("subscriber %d: dial: %v", i, err)
 					subFailed.Add(1)
@@ -182,7 +162,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sess, err := fireledger.Dial(addr, *idBase+uint64(i))
+			sess, err := fireledger.Dial(*node, *idBase+uint64(i))
 			if err != nil {
 				log.Printf("session %d: dial: %v", i, err)
 				failed.Add(1)
@@ -241,148 +221,19 @@ func main() {
 	// and the drain of writes still in flight at the deadline, so tps is
 	// committed work over the window the commits actually occupied.
 	elapsed := time.Since(benchStart).Seconds()
-	result := benchResult{
-		Protocol:     clientapi.Version,
-		Clients:      *clients,
-		Rate:         *rate,
-		TxSize:       *size,
-		DurationS:    elapsed,
-		Submitted:    submitted.Load(),
-		Committed:    committed.Load(),
-		Failed:       failed.Load(),
-		TPS:          float64(committed.Load()) / elapsed,
-		LatencyMsP50: ms(hist.Percentile(50)),
-		LatencyMsP90: ms(hist.Percentile(90)),
-		LatencyMsP99: ms(hist.Percentile(99)),
-		LatencyMsMax: ms(hist.Percentile(100)),
-	}
-	if *subscribe {
-		result.BlocksStreamed = streamed.Load()
-	}
 	if *subsN > 0 {
-		result.Subscribers = *subsN
-		result.SubscriberEvents = subEvents.Load()
 		log.Printf("fan-out: %d subscribers streamed %d block events (gapped %d, died %d)",
-			*subsN, result.SubscriberEvents, subGapped.Load(), subFailed.Load())
+			*subsN, subEvents.Load(), subGapped.Load(), subFailed.Load())
 	}
 	log.Printf("committed %d/%d txs of %d bytes in %.1fs: %.0f tps, latency p50=%.1fms p90=%.1fms p99=%.1fms (failed %d, streamed %d blocks)",
-		result.Committed, result.Submitted, *size, elapsed, result.TPS,
-		result.LatencyMsP50, result.LatencyMsP90, result.LatencyMsP99, result.Failed, result.BlocksStreamed)
-	if *out != "" {
-		env := benchEnv{
-			Date:   time.Now().Format("2006-01-02"),
-			GOOS:   runtime.GOOS,
-			GOARCH: runtime.GOARCH,
-			NumCPU: runtime.NumCPU(),
-		}
-		doc := benchDoc{
-			Description: "flclient round trip over the clientapi wire protocol: concurrent remote sessions submit σ-byte writes and wait for commit receipts; latency is submit→COMMIT (write finality in the merged definite order), tps counts committed writes. With -selfhost the bench runs against a 4-node loopback-TCP cluster in one process.",
-			Environment: env,
-			Runs:        []benchResult{result},
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatalf("marshal result: %v", err)
-		}
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			log.Fatalf("write %s: %v", *out, err)
-		}
-		log.Printf("wrote %s", *out)
-	}
-	if result.Committed == 0 {
+		committed.Load(), submitted.Load(), *size, elapsed, float64(committed.Load())/elapsed,
+		ms(hist.Percentile(50)), ms(hist.Percentile(90)), ms(hist.Percentile(99)), failed.Load(), streamed.Load())
+	if committed.Load() == 0 {
 		log.Fatal("no write committed — the cluster never acked finality")
 	}
 	if g, f := subGapped.Load(), subFailed.Load(); g > 0 || f > 0 {
-		log.Fatalf("fan-out smoke failed: %d subscriber streams gapped, %d died", g, f)
+		log.Fatalf("fan-out check failed: %d subscriber streams gapped, %d died", g, f)
 	}
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-type benchDoc struct {
-	Description string        `json:"description"`
-	Environment benchEnv      `json:"environment"`
-	Runs        []benchResult `json:"runs"`
-}
-
-type benchEnv struct {
-	Date   string `json:"date"`
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	NumCPU int    `json:"num_cpu"`
-}
-
-type benchResult struct {
-	Protocol       uint32  `json:"protocol_version"`
-	Clients        int     `json:"clients"`
-	Rate           int     `json:"rate_limit_tps"`
-	TxSize         int     `json:"tx_size"`
-	DurationS      float64 `json:"duration_s"`
-	Submitted      uint64  `json:"submitted"`
-	Committed      uint64  `json:"committed"`
-	Failed         uint64  `json:"failed"`
-	TPS            float64 `json:"tps"`
-	LatencyMsP50   float64 `json:"latency_ms_p50"`
-	LatencyMsP90   float64 `json:"latency_ms_p90"`
-	LatencyMsP99   float64 `json:"latency_ms_p99"`
-	LatencyMsMax   float64 `json:"latency_ms_max"`
-	BlocksStreamed uint64  `json:"blocks_streamed,omitempty"`
-	// -subscribers mode: the fan-out population and the total block events
-	// it absorbed (every stream verified gap-free from cursor 0).
-	Subscribers      int    `json:"subscribers,omitempty"`
-	SubscriberEvents uint64 `json:"subscriber_events,omitempty"`
-}
-
-// startSelfhostCluster boots a 4-node FLO cluster over loopback TCP inside
-// this process, serves the client API from node 0, and returns its address
-// plus a shutdown function — cmd/fireledger's deployment path without the
-// process orchestration, for zero-setup benching.
-func startSelfhostCluster(workers int) (addr string, stop func()) {
-	const n = 4
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("selfhost: reserve port: %v", err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	ks, err := flcrypto.GenerateKeySet(n, flcrypto.Ed25519, flcrypto.NewDeterministicReader("flclient-selfhost"))
-	if err != nil {
-		log.Fatalf("selfhost: keys: %v", err)
-	}
-	nodes := make([]*fireledger.Node, n)
-	for i := 0; i < n; i++ {
-		ep, err := transport.NewTCPEndpoint(transport.TCPConfig{ID: flcrypto.NodeID(i), Addrs: addrs})
-		if err != nil {
-			log.Fatalf("selfhost: endpoint %d: %v", i, err)
-		}
-		node, err := fireledger.NewNode(fireledger.Config{
-			Endpoint:     ep,
-			Registry:     ks.Registry,
-			Priv:         ks.Privs[i],
-			Workers:      workers,
-			BatchSize:    100,
-			InitialTimer: 50 * time.Millisecond,
-		})
-		if err != nil {
-			log.Fatalf("selfhost: node %d: %v", i, err)
-		}
-		nodes[i] = node
-	}
-	srv := clientapi.NewServer(nodes[0], clientapi.ServerOptions{Logf: log.Printf})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		log.Fatalf("selfhost: client API: %v", err)
-	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	fmt.Fprintf(os.Stderr, "selfhost: 4-node loopback cluster up, client API on %s\n", srv.Addr())
-	return srv.Addr(), func() {
-		srv.Close()
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}
-}

@@ -5,8 +5,7 @@ package main
 import "syscall"
 
 // raiseFDLimit lifts the soft open-file limit to the hard ceiling before a
-// -subscribers run: with -selfhost both ends of every subscriber connection
-// live in this process, so N subscribers hold ~2N descriptors.
+// -subscribers run: N subscribers hold N descriptors in this process.
 func raiseFDLimit() {
 	var rl syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err != nil {

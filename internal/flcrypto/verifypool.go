@@ -105,23 +105,21 @@ const (
 )
 
 // PoolOptions configures NewVerifyPoolOpts. The zero value of every field
-// selects its default; batching is on unless DisableBatch is set.
+// selects its default; batching is on unless BatchMax is 1.
 type PoolOptions struct {
 	// Workers is the goroutine count; <= 0 selects GOMAXPROCS.
 	Workers int
 	// CacheSize bounds the verify cache; <= 0 selects DefaultCacheSize.
 	CacheSize int
 	// BatchMax caps signatures per batch combination; <= 0 selects
-	// DefaultBatchMax, 1 effectively disables coalescing.
+	// DefaultBatchMax, 1 turns the batch path off: every verification is a
+	// single crypto op.
 	BatchMax int
 	// MinBatchWait / MaxBatchWait bound the adaptive batch-fill wait
 	// (defaults DefaultMinBatchWait / DefaultMaxBatchWait). A negative
 	// MinBatchWait selects zero: no grace period at all.
 	MinBatchWait time.Duration
 	MaxBatchWait time.Duration
-	// DisableBatch turns the batch path off entirely: every verification
-	// is a single crypto op, as before batching existed.
-	DisableBatch bool
 }
 
 // NewVerifyPool creates a pool with `workers` goroutines and a verify cache
@@ -149,9 +147,6 @@ func NewVerifyPoolOpts(opts PoolOptions) *VerifyPool {
 	batchMax := opts.BatchMax
 	if batchMax <= 0 {
 		batchMax = DefaultBatchMax
-	}
-	if opts.DisableBatch {
-		batchMax = 1
 	}
 	minWait := opts.MinBatchWait
 	switch {

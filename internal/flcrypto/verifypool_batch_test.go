@@ -35,17 +35,17 @@ func TestVerifyPoolWorkersPinned(t *testing.T) {
 }
 
 // TestVerifyPoolBatchOnByDefault pins the default configuration the rest of
-// the repo (and CI's bench smoke) assumes: a plain NewVerifyPool batches.
+// the repo assumes: a plain NewVerifyPool batches.
 func TestVerifyPoolBatchOnByDefault(t *testing.T) {
 	p := NewVerifyPool(0, 0)
 	defer p.Close()
 	if !p.BatchEnabled() || p.BatchMax() != DefaultBatchMax {
 		t.Fatalf("default pool: BatchEnabled=%v BatchMax=%d, want true/%d", p.BatchEnabled(), p.BatchMax(), DefaultBatchMax)
 	}
-	po := NewVerifyPoolOpts(PoolOptions{DisableBatch: true})
+	po := NewVerifyPoolOpts(PoolOptions{BatchMax: 1})
 	defer po.Close()
 	if po.BatchEnabled() {
-		t.Fatal("DisableBatch pool still reports batching")
+		t.Fatal("BatchMax 1 pool still reports batching")
 	}
 	if (*VerifyPool)(nil).BatchEnabled() {
 		t.Fatal("nil pool reports batching")

@@ -7,8 +7,7 @@ import (
 	"testing"
 )
 
-// The sync-vs-pooled verification benchmarks behind BENCH_verify.json (see
-// the repository root): per-envelope cost of
+// The sync-vs-pooled verification benchmarks: per-envelope cost of
 //
 //   - sync:  the pre-refactor model — every envelope verified inline on one
 //     goroutine, no cache;

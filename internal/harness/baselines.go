@@ -86,7 +86,6 @@ func RunHotStuff(opts Options) Result {
 	if elapsed > 0 {
 		res.TPS = float64(m0.CommittedTxs.Load()-baseTxs) / elapsed
 		res.BPS = float64(m0.Committed.Load()-baseBlocks) / elapsed
-		res.DefiniteBlocks = m0.Committed.Load() - baseBlocks
 		res.SignOpsPerBlock = safeDiv(float64(m0.SignOps.Load()), float64(m0.Committed.Load()))
 	}
 	return res
@@ -207,7 +206,6 @@ func RunPBFT(opts Options) Result {
 	if elapsed > 0 {
 		res.TPS = float64(m0.RequestsDelivered.Load()-baseTxs) / elapsed * float64(pack)
 		res.BPS = float64(m0.BatchesDelivered.Load()-baseBlocks) / elapsed
-		res.DefiniteBlocks = m0.BatchesDelivered.Load() - baseBlocks
 		res.SignOpsPerBlock = safeDiv(float64(m0.SignOps.Load()), float64(m0.BatchesDelivered.Load()))
 	}
 	return res

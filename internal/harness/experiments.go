@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/flcrypto"
@@ -344,229 +343,26 @@ func Table1(w io.Writer, s Scale) {
 	}
 }
 
-// WorkersCell is one point of the tps-vs-workers scaling sweep.
-type WorkersCell struct {
-	Workers    int     `json:"workers"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	TPS        float64 `json:"tps"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	Blocks     uint64  `json:"blocks"`
-}
-
-// WorkersSweep runs the multi-worker scaling experiment behind the "workers"
-// entry and BENCH_workers.json: ω ∈ {1,2,4,8} at each GOMAXPROCS in
-// {1, NumCPU} (deduplicated), n=4, β=100, σ=512 on the single-data-center
-// latency model. The ω sweep is fixed (not Scale.Workers) so the artifact is
-// comparable across profiles; Scale still sets the measurement windows. On
-// the simulated network the scaling is latency-bound pipelining — ω worker
-// instances keep ω blocks in flight over the same links — so the tps ratio
-// ω=4/ω=1 is meaningful even on a single-core host.
-func WorkersSweep(s Scale) []WorkersCell {
-	procs := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		procs = append(procs, n)
-	}
-	var cells []WorkersCell
-	for _, gmp := range procs {
-		prev := runtime.GOMAXPROCS(gmp)
-		for _, workers := range []int{1, 2, 4, 8} {
-			res := RunFLO(Options{
-				N: 4, Workers: workers, Batch: 100, TxSize: 512,
-				Latency: transport.SingleDC(), EgressBytesPerSec: s.Bandwidth,
-				Warmup: s.Warmup, Duration: s.Duration,
-			})
-			cells = append(cells, WorkersCell{
-				Workers:    workers,
-				GoMaxProcs: gmp,
-				TPS:        res.TPS,
-				P50Ms:      res.Latency.Percentile(50).Seconds() * 1000,
-				P99Ms:      res.Latency.Percentile(99).Seconds() * 1000,
-				Blocks:     res.DefiniteBlocks,
-			})
-		}
-		runtime.GOMAXPROCS(prev)
-	}
-	return cells
-}
-
-// Workers prints the tps-vs-workers scaling sweep (cmd/flbench -exp workers;
-// -out additionally writes the cells as BENCH_workers.json).
-func Workers(w io.Writer, s Scale) {
-	fmt.Fprintf(w, "# workers: tps vs omega, n=4, batch=100, sigma=512, single data-center\n")
-	fmt.Fprintf(w, "gomaxprocs\tworkers\ttps\tp50-ms\tp99-ms\tblocks\n")
-	for _, c := range WorkersSweep(s) {
-		fmt.Fprintf(w, "%d\t%d\t%.0f\t%.2f\t%.2f\t%d\n",
-			c.GoMaxProcs, c.Workers, c.TPS, c.P50Ms, c.P99Ms, c.Blocks)
-	}
-}
-
-// StateCell is one point of the state-backend sweep: sustained write tps
-// with the backend applying every definite block, plus the point-get and
-// range-scan rates two concurrent readers sustained against the replica.
-type StateCell struct {
-	Backend     string  `json:"backend"` // none | map | durable
-	Workers     int     `json:"workers"`
-	TPS         float64 `json:"tps"`
-	GetsPerSec  float64 `json:"point_gets_per_sec"`
-	ScansPerSec float64 `json:"range_scans_per_sec"`
-	P50Ms       float64 `json:"p50_ms"`
-	Blocks      uint64  `json:"blocks"`
-}
-
-// StateSweep runs the queryable-state experiment behind the "state" entry
-// and BENCH_state.json: backend ∈ {none, map, durable} at ω ∈ {1, 4}, n=4,
-// β=100, σ=512, single data-center — the BENCH_workers.json configuration,
-// so the "none" rows are directly comparable to the ω-scaling baseline and
-// the map/durable rows expose the apply+read overhead. Backed cells run the
-// Set-command load over 5000 keys and two concurrent reader loops.
-func StateSweep(s Scale) []StateCell {
-	var cells []StateCell
-	for _, backend := range []string{"none", "map", "durable"} {
-		for _, workers := range []int{1, 4} {
-			opts := Options{
-				N: 4, Workers: workers, Batch: 100, TxSize: 512,
-				Latency: transport.SingleDC(), EgressBytesPerSec: s.Bandwidth,
-				Warmup: s.Warmup, Duration: s.Duration,
-			}
-			if backend != "none" {
-				opts.State = backend
-				opts.StateReaders = 2
-			}
-			res := RunFLO(opts)
-			cells = append(cells, StateCell{
-				Backend:     backend,
-				Workers:     workers,
-				TPS:         res.TPS,
-				GetsPerSec:  res.GetsPerSec,
-				ScansPerSec: res.ScansPerSec,
-				P50Ms:       res.Latency.Percentile(50).Seconds() * 1000,
-				Blocks:      res.DefiniteBlocks,
-			})
-		}
-	}
-	return cells
-}
-
-// State prints the state-backend sweep (cmd/flbench -exp state; -out
-// additionally writes the cells as BENCH_state.json).
-func State(w io.Writer, s Scale) {
-	fmt.Fprintf(w, "# state: write tps + read rates vs backend, n=4, batch=100, sigma=512, single data-center\n")
-	fmt.Fprintf(w, "backend\tworkers\ttps\tgets/s\tscans/s\tp50-ms\tblocks\n")
-	for _, c := range StateSweep(s) {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.2f\t%d\n",
-			c.Backend, c.Workers, c.TPS, c.GetsPerSec, c.ScansPerSec, c.P50Ms, c.Blocks)
-	}
-}
-
-// VerifyCell is one point of the verification-mode sweep: saturated
-// throughput at the Fig 7 heavy corner under one of the three verification
-// modes, plus the batch path's own activity counters.
-type VerifyCell struct {
-	Mode    string  `json:"mode"`    // sync | pool-nobatch | pool-batch
-	Latency string  `json:"latency"` // single-dc | geo-wan
-	TPS     float64 `json:"tps"`
-	P50Ms   float64 `json:"p50_ms"`
-	Blocks  uint64  `json:"blocks"`
-	// Batch-path activity over the measured window (zero in the first two
-	// modes): combinations run, signatures they resolved, the achieved
-	// average batch size, bisections (0 in fault-free runs), and one-off
-	// verifications that bypassed or fell off the batch path.
-	Batches     uint64  `json:"batches"`
-	BatchedSigs uint64  `json:"batched_sigs"`
-	AvgBatch    float64 `json:"avg_batch"`
-	Bisections  uint64  `json:"bisections"`
-	Singles     uint64  `json:"singles"`
-}
-
-// VerifySweep runs the verification-mode experiment behind the "verify"
-// entry and BENCH_verify.json's sweep section: sync-inline vs pooled without
-// the batch path vs the default batched pool, at BenchmarkVerifyPipeline's
-// saturated corner (n=4, ω=4, β=200, σ=512, single data-center), plus the
-// sync and batched modes again on the §7.5 geo latency model at 0.1 scale —
-// the WAN shape the adaptive pacing was tuned under. The pool-batch
-// single-dc row is the acceptance cell: it must beat the recorded
-// pre-batching pooled throughput by ≥1.3×.
-func VerifySweep(s Scale) []VerifyCell {
-	type lat struct {
-		name  string
-		model transport.LatencyModel
-	}
-	lats := []lat{
-		{"single-dc", transport.SingleDC()},
-		{"geo-wan", transport.Geo(0.1)},
-	}
-	modes := []string{"sync", "pool-nobatch", "pool-batch"}
-	var cells []VerifyCell
-	for _, l := range lats {
-		for _, mode := range modes {
-			if l.name == "geo-wan" && mode == "pool-nobatch" {
-				continue // the middle ablation only matters at the saturated corner
-			}
-			opts := Options{
-				N: 4, Workers: 4, Batch: 200, TxSize: 512,
-				Latency: l.model, EgressBytesPerSec: s.Bandwidth,
-				Warmup: s.Warmup, Duration: s.Duration,
-				SyncVerify:         mode == "sync",
-				DisableBatchVerify: mode == "pool-nobatch",
-			}
-			res := RunFLO(opts)
-			cell := VerifyCell{
-				Mode:        mode,
-				Latency:     l.name,
-				TPS:         res.TPS,
-				P50Ms:       res.Latency.Percentile(50).Seconds() * 1000,
-				Blocks:      res.DefiniteBlocks,
-				Batches:     res.VerifyBatches,
-				BatchedSigs: res.VerifyBatchedSigs,
-				Bisections:  res.VerifyBisections,
-				Singles:     res.VerifySingles,
-			}
-			if cell.Batches > 0 {
-				cell.AvgBatch = float64(cell.BatchedSigs) / float64(cell.Batches)
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return cells
-}
-
-// Verify prints the verification-mode sweep (cmd/flbench -exp verify; -out
-// additionally writes the cells for BENCH_verify.json).
-func Verify(w io.Writer, s Scale) {
-	fmt.Fprintf(w, "# verify: tps vs verification mode, n=4, workers=4, batch=200, sigma=512\n")
-	fmt.Fprintf(w, "latency\tmode\ttps\tp50-ms\tblocks\tbatches\tavg-batch\tbisections\tsingles\n")
-	for _, c := range VerifySweep(s) {
-		fmt.Fprintf(w, "%s\t%s\t%.0f\t%.2f\t%d\t%d\t%.1f\t%d\t%d\n",
-			c.Latency, c.Mode, c.TPS, c.P50Ms, c.Blocks, c.Batches, c.AvgBatch, c.Bisections, c.Singles)
-	}
-}
-
 // Experiments maps experiment names to their runners, for cmd/flbench.
 var Experiments = map[string]func(io.Writer, Scale){
-	"workers": Workers,
-	"state":   State,
-	"fanout":  Fanout,
-	"verify":  Verify,
-	"table1":  Table1,
-	"fig5":    Fig5,
-	"fig6":    Fig6,
-	"fig7":    Fig7,
-	"fig8":    Fig8,
-	"fig9":    Fig9,
-	"fig10":   Fig10,
-	"fig11":   Fig11,
-	"fig12":   Fig12,
-	"fig13":   Fig13,
-	"fig14":   Fig14,
-	"fig15":   Fig15,
-	"fig16":   Fig16,
-	"fig17":   Fig17,
+	"table1": Table1,
+	"fig5":   Fig5,
+	"fig6":   Fig6,
+	"fig7":   Fig7,
+	"fig8":   Fig8,
+	"fig9":   Fig9,
+	"fig10":  Fig10,
+	"fig11":  Fig11,
+	"fig12":  Fig12,
+	"fig13":  Fig13,
+	"fig14":  Fig14,
+	"fig15":  Fig15,
+	"fig16":  Fig16,
+	"fig17":  Fig17,
 }
 
 // ExperimentOrder lists experiments in paper order for `-exp all`.
 var ExperimentOrder = []string{
 	"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-	"workers", "state", "fanout", "verify",
 }

@@ -7,10 +7,6 @@
 package harness
 
 import (
-	"fmt"
-	"math/rand"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +14,6 @@ import (
 	"repro/internal/flcrypto"
 	"repro/internal/flo"
 	"repro/internal/metrics"
-	"repro/internal/statemachine"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -52,8 +47,6 @@ type Options struct {
 	EpochLen uint64
 	// InitialTimer seeds the WRB adaptive timer (default 25ms).
 	InitialTimer time.Duration
-	// MaxPending bounds outstanding undecided blocks (flow control).
-	MaxPending int
 	// DisablePiggyback ablates the §5.1 piggyback optimization.
 	DisablePiggyback bool
 	// FDThreshold overrides the benign failure detector's strike threshold
@@ -72,52 +65,11 @@ type Options struct {
 	// ExcludeConvicted activates the accountability path: equivocators are
 	// convicted on-chain and leave the proposer rotation.
 	ExcludeConvicted bool
-	// SyncVerify disables the asynchronous verification pipeline (worker
-	// pool + verify cache) — the ablation knob for the verification
-	// benchmarks. Default false: the pipeline is on, as in deployment.
-	SyncVerify bool
-	// DisableBatchVerify keeps the verify pool but turns off its
-	// multi-scalar batch path, so every async miss runs a one-off
-	// ed25519.Verify — the middle ablation between SyncVerify and the
-	// default batched pipeline (the "verify" experiment's three modes).
-	DisableBatchVerify bool
-	// State attaches a managed state backend to every node: "" (none),
-	// "map", or "durable" (on a temp dir, removed after the run). With a
-	// backend the saturating load emits Set commands over StateKeys keys
-	// (default 5000) instead of random bytes, so the backend sees real
-	// writes of the same σ.
-	State     string
-	StateKeys int
-	// StateReaders runs that many concurrent read loops against node 0's
-	// replica during the measured window. Each loop is paced (one 15-get +
-	// 1-scan cycle per millisecond) so reads ride alongside the write load
-	// instead of starving consensus of CPU; Result.GetsPerSec / ScansPerSec
-	// report the sustained rates.
-	StateReaders int
-	// Subscribers attaches a client API server to node 0 and that many
-	// streaming block subscriptions over in-memory pipes (Server.ServeConn +
-	// Attach, so the file-descriptor limit never bounds the count). Every
-	// subscriber starts at genesis — replaying through the fan-out hub's
-	// shared cohorts, then riding its live tier — and the Fan* Result fields
-	// report the hub counters and delivery lag over the measured window.
-	Subscribers int
-	// SubscriberFilter gives every subscriber a distinct one-byte tx-prefix
-	// filter (subscriber i filters on byte i%256), exercising the wire-1.3
-	// server-side filter path under fan-out load.
-	SubscriberFilter bool
-	// SubscriberStall adds one deliberately stalled subscriber (it
-	// subscribes, then never drains) on top of Subscribers. The hub must
-	// park and demote it to a replay cohort without raising the healthy
-	// subscribers' delivery lag.
-	SubscriberStall bool
 }
 
 func (o *Options) fill() {
 	if o.N == 0 {
 		o.N = 4
-	}
-	if o.StateKeys == 0 {
-		o.StateKeys = 5000
 	}
 	if o.Workers == 0 {
 		o.Workers = 1
@@ -157,8 +109,6 @@ type Result struct {
 	// SignOpsPerBlock is the average number of signature creations per
 	// definite block at one correct node (Table 1 accounting).
 	SignOpsPerBlock float64
-	// DefiniteBlocks is the total number of definite blocks measured.
-	DefiniteBlocks uint64
 	// MsgsPerBlock is the average number of transport messages sent per
 	// definite block per node — Table 1's communication-steps accounting
 	// (the fault-free optimum is ~n: one vote per node plus the proposer's
@@ -177,58 +127,6 @@ type Result struct {
 	// those were served by a recycled buffer instead of an allocation.
 	EncPoolGets   uint64
 	EncPoolReuses uint64
-	// GetsPerSec / ScansPerSec are the state-read rates the StateReaders
-	// loops sustained against node 0 during the measured window (0 when no
-	// backend or no readers were configured).
-	GetsPerSec  float64
-	ScansPerSec float64
-	// Snapshot-transfer totals, cluster-wide and cumulative over the whole
-	// run (rescues are rare whole-run events, not windowed rates): chunks
-	// served by donors, chunks and bytes fetched by restoring nodes, resumed
-	// transfers, snapshots rejected by verification, and completed installs.
-	// A campaign that strands a node asserts SnapInstalls > 0 — the rescue
-	// actually ran over the transfer protocol instead of silently
-	// range-syncing.
-	SnapChunksServed  uint64
-	SnapChunksFetched uint64
-	SnapBytesFetched  uint64
-	SnapResumes       uint64
-	SnapRejected      uint64
-	SnapInstalls      uint64
-	// Fan-out subsystem measurements (Options.Subscribers > 0): node 0's
-	// client-API hub counters, cumulative from subscriber attach to window
-	// close (a short window can catch the hub fully backpressured and read
-	// zero, so these are lifetime totals, not window deltas). The
-	// encode-once contract shows up as FanFramesEncoded staying near the
-	// number of delivered blocks while FanFramesShared scales with
-	// subscribers; FanBytesSent / FanBytesEncoded is the sharing ratio.
-	FanFramesEncoded       uint64
-	FanFramesShared        uint64
-	FanBytesEncoded        uint64
-	FanBytesSent           uint64
-	FanBlocksFiltered      uint64
-	FanCohortReplays       uint64
-	FanDemotions           uint64
-	FanPromotions          uint64
-	FanOverflowDisconnects uint64
-	// FanDelivered counts node 0's delivered blocks since attach (the
-	// denominator for encodes-per-block); FanDeliveriesPerSec is the total
-	// in-window BLOCK-event rate the subscribers absorbed; FanLag is the
-	// delivery→receive lag distribution over sampled subscribers.
-	FanDelivered        uint64
-	FanDeliveriesPerSec float64
-	FanLag              *metrics.Histogram
-	// Verify-pool batch-path activity, summed over the correct nodes during
-	// the measured window (deltas of flcrypto.PoolBatchStats): multi-scalar
-	// combinations run, the signatures those combinations resolved
-	// (BatchedSigs/Batches is the achieved average batch size), failed
-	// combinations that bisected to isolate a forgery, and async misses
-	// resolved by one-off verification. All zero under SyncVerify (no pool)
-	// or DisableBatchVerify (pool without the batch path).
-	VerifyBatches     uint64
-	VerifyBatchedSigs uint64
-	VerifyBisections  uint64
-	VerifySingles     uint64
 }
 
 // RunFLO executes one FLO cluster experiment.
@@ -246,38 +144,6 @@ func RunFLO(opts Options) Result {
 	latency := metrics.NewHistogram(0)
 	var measuring atomic.Bool
 
-	// Managed state backends (Options.State), torn down after the nodes.
-	var stateClosers []func()
-	defer func() {
-		for _, f := range stateClosers {
-			f()
-		}
-	}()
-	openState := func(i int) statemachine.StateBackend {
-		switch opts.State {
-		case "", "none":
-			return nil
-		case "map":
-			return statemachine.NewKV()
-		case "durable":
-			dir, err := os.MkdirTemp("", "flbench-state")
-			if err != nil {
-				panic(err)
-			}
-			d, err := statemachine.OpenDurable(dir)
-			if err != nil {
-				panic(err)
-			}
-			stateClosers = append(stateClosers, func() {
-				d.Close()
-				os.RemoveAll(dir)
-			})
-			return d
-		default:
-			panic(fmt.Sprintf("harness: unknown state backend %q", opts.State))
-		}
-	}
-
 	nodes := make([]*flo.Node, opts.N)
 	correct := make([]int, 0, opts.N)
 	for i := 0; i < opts.N; i++ {
@@ -294,27 +160,16 @@ func RunFLO(opts Options) Result {
 			Equivocate:       byz,
 			EpochLen:         opts.EpochLen,
 			InitialTimer:     opts.InitialTimer,
-			MaxPending:       opts.MaxPending,
 			DisablePiggyback: opts.DisablePiggyback,
 			FDThreshold:      opts.FDThreshold,
 			GossipBodies:     opts.GossipBodies,
 			GossipFanout:     opts.GossipFanout,
 			CompressBodies:   opts.CompressBodies,
 			ExcludeConvicted: opts.ExcludeConvicted,
-			SyncVerify:       opts.SyncVerify,
-			State:            openState(i),
 		}
 		cfg.Source = workload.Saturating(flcrypto.NodeID(i), opts.TxSize, func(s *workload.SaturatingSource) {
 			s.SetCompressible(opts.CompressibleLoad)
-			if cfg.State != nil {
-				s.SetKV(opts.StateKeys)
-			}
 		})
-		if opts.DisableBatchVerify {
-			pool := flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{DisableBatch: true})
-			defer pool.Close()
-			cfg.VerifyPool = pool
-		}
 		if i == 0 && !byz {
 			// Node 0 instruments the timeline and the latency histogram.
 			cfg.OnEvent = func(w uint32, round uint64, ev core.Event) {
@@ -351,53 +206,6 @@ func RunFLO(opts Options) Result {
 		}
 	}()
 
-	// State-read load against node 0's replica: each reader alternates 15
-	// point gets with one range scan; ops count only inside the window.
-	var gets, scans atomic.Uint64
-	readersDone := make(chan struct{})
-	var readersWG sync.WaitGroup
-	if opts.StateReaders > 0 && opts.State != "" && opts.State != "none" {
-		for rd := 0; rd < opts.StateReaders; rd++ {
-			readersWG.Add(1)
-			go func(seed int64) {
-				defer readersWG.Done()
-				rng := rand.New(rand.NewSource(seed))
-				rep := nodes[0].State()
-				ticker := time.NewTicker(time.Millisecond)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-readersDone:
-						return
-					case <-ticker.C:
-					}
-					for i := 0; i < 15; i++ {
-						rep.Get(fmt.Sprintf("bench/%08d", rng.Intn(opts.StateKeys)))
-						if measuring.Load() {
-							gets.Add(1)
-						}
-					}
-					begin := fmt.Sprintf("bench/%08d", rng.Intn(opts.StateKeys))
-					rep.Scan(begin, "", 100)
-					if measuring.Load() {
-						scans.Add(1)
-					}
-				}
-			}(int64(rd) * 7919)
-		}
-	}
-	defer func() {
-		close(readersDone)
-		readersWG.Wait()
-	}()
-
-	// Fan-out load against node 0's client API (Options.Subscribers).
-	var rig *fanoutRig
-	if opts.Subscribers > 0 {
-		rig = attachFanout(nodes[0], opts, &measuring)
-		defer rig.stop()
-	}
-
 	time.Sleep(opts.Warmup)
 
 	// §7.4.1: crash after warmup, measure after the crash.
@@ -413,12 +221,10 @@ func RunFLO(opts Options) Result {
 	bases := make([]snap, opts.N)
 	msgBases := make([]uint64, opts.N)
 	byteBases := make([]uint64, opts.N)
-	verifyBases := make([]flcrypto.PoolBatchStats, opts.N)
 	for _, i := range correct {
 		bases[i] = snapshot(nodes[i], opts.Workers)
 		msgBases[i] = net.MessagesSent(flcrypto.NodeID(i))
 		byteBases[i] = net.BytesSent(flcrypto.NodeID(i))
-		verifyBases[i] = nodes[i].VerifyPool().BatchStats()
 	}
 	poolGets0, poolReuses0 := types.PoolStats()
 	start := time.Now()
@@ -429,15 +235,8 @@ func RunFLO(opts Options) Result {
 
 	var res Result
 	res.Latency = latency
-	if rig != nil {
-		rig.collect(&res, elapsed)
-	}
 	res.EncPoolGets = poolGets1 - poolGets0
 	res.EncPoolReuses = poolReuses1 - poolReuses0
-	if elapsed > 0 {
-		res.GetsPerSec = float64(gets.Load()) / elapsed
-		res.ScansPerSec = float64(scans.Load()) / elapsed
-	}
 	var txs, blocks, recoveries, sign, fast, fallback, msgs, bytes float64
 	for _, i := range correct {
 		now := snapshot(nodes[i], opts.Workers)
@@ -450,21 +249,7 @@ func RunFLO(opts Options) Result {
 		fallback += float64(now.fallback - b.fallback)
 		msgs += float64(net.MessagesSent(flcrypto.NodeID(i)) - msgBases[i])
 		bytes += float64(net.BytesSent(flcrypto.NodeID(i)) - byteBases[i])
-		vs := nodes[i].VerifyPool().BatchStats()
-		res.VerifyBatches += vs.Batches - verifyBases[i].Batches
-		res.VerifyBatchedSigs += vs.BatchedSigs - verifyBases[i].BatchedSigs
-		res.VerifyBisections += vs.Bisections - verifyBases[i].Bisections
-		res.VerifySingles += vs.Singles - verifyBases[i].Singles
 		res.Convictions += now.convictions
-		for w := 0; w < opts.Workers; w++ {
-			m := nodes[i].Worker(w).Metrics()
-			res.SnapChunksServed += m.SnapChunksServed.Load()
-			res.SnapChunksFetched += m.SnapChunksFetched.Load()
-			res.SnapBytesFetched += m.SnapBytesFetched.Load()
-			res.SnapResumes += m.SnapResumes.Load()
-			res.SnapRejected += m.SnapRejected.Load()
-			res.SnapInstalls += m.SnapInstalls.Load()
-		}
 	}
 	nc := float64(len(correct))
 	if nc > 0 && elapsed > 0 {
@@ -476,7 +261,6 @@ func RunFLO(opts Options) Result {
 		res.SignOpsPerBlock = safeDiv(sign/nc, blocks/nc)
 		res.MsgsPerBlock = safeDiv(msgs/nc, blocks/nc)
 		res.BytesPerBlock = safeDiv(bytes/nc, blocks/nc)
-		res.DefiniteBlocks = uint64(blocks / nc)
 	}
 	if fast+fallback > 0 {
 		res.FastFraction = fast / (fast + fallback)

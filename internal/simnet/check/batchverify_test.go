@@ -9,8 +9,8 @@ import (
 
 // honestBatchStats sums the verify-pool batch counters across a cluster's
 // honest nodes, failing if any honest node is missing its pool or runs with
-// batching off (the default config must batch — the same invariant CI's
-// bench smoke pins).
+// batching off (the default config must batch — the invariant
+// flcrypto's TestVerifyPoolBatchOnByDefault pins for a bare pool).
 func honestBatchStats(c *Cluster) (flcrypto.PoolBatchStats, error) {
 	var sum flcrypto.PoolBatchStats
 	for _, i := range c.Scenario.honest() {

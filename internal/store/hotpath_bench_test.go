@@ -8,10 +8,9 @@ import (
 	"repro/internal/types"
 )
 
-// Durable-append benchmarks behind BENCH_hotpath.json: the cost of
-// persisting one definite block with per-append fsync versus the
-// group-commit mode that batches appends landing within a window into one
-// buffered write and a single fsync.
+// Durable-append benchmarks: the cost of persisting one definite block
+// with per-append fsync versus the group-commit mode that batches appends
+// landing within a window into one buffered write and a single fsync.
 //
 // Run with: go test -run '^$' -bench BenchmarkBlockLogAppend -benchmem ./internal/store
 

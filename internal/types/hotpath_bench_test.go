@@ -6,8 +6,8 @@ import (
 	"repro/internal/flcrypto"
 )
 
-// Hot-path micro-benchmarks behind BENCH_hotpath.json (see the repository
-// root). They measure the per-call cost of the operations the consensus and
+// Hot-path micro-benchmarks (CI runs them at one iteration as a canary).
+// They measure the per-call cost of the operations the consensus and
 // data paths repeat most: hashing a header, marshaling a body, encoding a
 // full block, and hashing a transaction. Before the encode-once/hash-once
 // refactor every call re-encoded and re-hashed from scratch; after it, the
