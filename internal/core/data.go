@@ -112,7 +112,8 @@ type dataPath struct {
 	lastPull map[flcrypto.Hash]time.Time
 }
 
-// pullRetryInterval paces proactive body pulls from the accept predicate.
+// pullRetryInterval paces proactive body pulls from the accept predicate,
+// and is how long each one waits for the body to arrive unasked.
 const pullRetryInterval = 5 * time.Millisecond
 
 // maxPullEntries bounds the pacing map; beyond it, expired entries are swept
@@ -123,9 +124,14 @@ const maxPullEntries = 1024
 // maybeRequestBody broadcasts a pull for hash unless one was recently sent
 // for that same hash — called from the vote-accept path so a node a gossip
 // rumor missed recovers the body before its delivery timer runs out, not
-// after. Pacing is per hash: misses alternating between two hashes (e.g. the
-// current round's body and a piggybacked next block) must not bypass the
-// limiter, and a new hash must not reset another hash's pacing window.
+// after. The pull leaves one pullRetryInterval after the miss, and only if
+// the body is still missing then: a verified header usually overtakes its
+// own body, which is larger and is hashed before it is stored, and every
+// peer answers a pull with the whole body, so pulling at once mostly buys
+// n−1 duplicate copies of a body already on its way. Pacing is per hash:
+// misses alternating between two hashes (e.g. the current round's body and
+// a piggybacked next block) must not bypass the limiter, and a new hash
+// must not reset another hash's pacing window.
 func (dp *dataPath) maybeRequestBody(hash flcrypto.Hash) {
 	now := time.Now()
 	dp.mu.Lock()
@@ -148,11 +154,16 @@ func (dp *dataPath) maybeRequestBody(hash flcrypto.Hash) {
 	}
 	dp.lastPull[hash] = now
 	dp.mu.Unlock()
-	e := types.GetEncoder(40)
-	e.Uint8(kindReqBody)
-	e.Hash(hash)
-	dp.mux.Broadcast(dp.proto, e.Bytes())
-	e.Release()
+	time.AfterFunc(pullRetryInterval, func() {
+		if dp.have(hash) {
+			return
+		}
+		e := types.GetEncoder(40)
+		e.Uint8(kindReqBody)
+		e.Hash(hash)
+		dp.mux.Broadcast(dp.proto, e.Bytes())
+		e.Release()
+	})
 }
 
 // maxStoredBodies bounds the body store; bodies of definite blocks live in

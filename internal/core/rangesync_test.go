@@ -252,12 +252,43 @@ func TestMaybeRequestBodyPerHashPacing(t *testing.T) {
 		dp.maybeRequestBody(b)
 	}
 	// One broadcast per hash (N-1 = 1 wire message each), not 100.
-	if sent := net.MessagesSent(0) - base; sent != 2 {
+	if sent := sentAfterPullGrace(net, base, 2); sent != 2 {
 		t.Fatalf("alternating hashes sent %d messages inside one pacing window, want 2", sent)
 	}
-	time.Sleep(2 * pullRetryInterval)
 	dp.maybeRequestBody(a)
-	if sent := net.MessagesSent(0) - base; sent != 3 {
+	if sent := sentAfterPullGrace(net, base, 3); sent != 3 {
 		t.Fatalf("expired window should re-send (got %d messages, want 3)", sent)
 	}
+}
+
+// TestMaybeRequestBodyWaitsForPush pins the pull's grace: a body that lands
+// within pullRetryInterval of the miss cancels the pull, so a header that
+// overtook its pushed body does not draw a copy of the body from every peer.
+func TestMaybeRequestBodyWaitsForPush(t *testing.T) {
+	ks := testKeySet(t, 4)
+	net := transport.NewChanNetwork(transport.ChanConfig{N: 2})
+	t.Cleanup(net.Close)
+	dp, _, stop := newTestDataPath(t, net, ks, 0, NewChain(0), 10)
+	defer close(stop)
+
+	pushed := types.Body{Txs: []types.Transaction{{Client: 1, Seq: 1, Payload: []byte("pushed")}}}
+	missing := types.Body{Txs: []types.Transaction{{Client: 1, Seq: 2, Payload: []byte("missing")}}}
+	base := net.MessagesSent(0)
+	dp.maybeRequestBody(pushed.Hash())
+	dp.maybeRequestBody(missing.Hash())
+	dp.store(pushed)
+	if sent := sentAfterPullGrace(net, base, 1); sent != 1 {
+		t.Fatalf("sent %d pulls, want 1: only the body that never arrived is pulled", sent)
+	}
+}
+
+// sentAfterPullGrace reports how many messages node 0 has sent since base.
+// It waits for the count to reach want (at most a second), then two more
+// pull grace periods, so that a pull sent in excess is counted too.
+func sentAfterPullGrace(net *transport.ChanNetwork, base, want uint64) uint64 {
+	for deadline := time.Now().Add(time.Second); net.MessagesSent(0)-base < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(2 * pullRetryInterval)
+	return net.MessagesSent(0) - base
 }

@@ -19,9 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-
-	"repro/internal/flcrypto/edwards25519"
 )
 
 // Hash is a SHA-256 digest. It is the authentication primitive that links
@@ -152,36 +149,13 @@ func (p ed25519Priv) Public() PublicKey {
 }
 func (p ed25519Priv) Scheme() Scheme { return Ed25519 }
 
-// ed25519Pub memoizes the decoded curve point of the key so the batch
-// verification path (batch.go) pays the ~one-field-exponentiation point
-// decompression once per key, not once per batched signature.
-type ed25519Pub struct {
-	k ed25519.PublicKey
-
-	decodeOnce sync.Once
-	point      *edwards25519.Point // nil if the key bytes are not a valid point
-}
+type ed25519Pub struct{ k ed25519.PublicKey }
 
 func (p *ed25519Pub) Verify(msg []byte, sig Signature) bool {
 	return len(sig) == ed25519.SignatureSize && ed25519.Verify(p.k, msg, sig)
 }
 func (p *ed25519Pub) Bytes() []byte  { return append([]byte(nil), p.k...) }
 func (p *ed25519Pub) Scheme() Scheme { return Ed25519 }
-
-// batchPoint returns the key's decoded curve point, or nil if the key bytes
-// do not decode (such a key can never verify anything; the caller falls back
-// to the single path, which rejects).
-func (p *ed25519Pub) batchPoint() *edwards25519.Point {
-	p.decodeOnce.Do(func() {
-		if len(p.k) != ed25519.PublicKeySize {
-			return
-		}
-		if pt, err := new(edwards25519.Point).SetBytes(p.k); err == nil {
-			p.point = pt
-		}
-	})
-	return p.point
-}
 
 type ecdsaPriv struct{ k *ecdsa.PrivateKey }
 
@@ -224,4 +198,20 @@ func ParsePublicKey(scheme Scheme, b []byte) (PublicKey, error) {
 	default:
 		return nil, fmt.Errorf("flcrypto: unknown scheme %v", scheme)
 	}
+}
+
+// VerifyBatch reports, item by item, whether sigs[i] is a valid signature on
+// msgs[i] under pubs[i] — per-item validity identical to calling pub.Verify
+// item by item, because that is what it does. It panics if the slice lengths
+// differ. Its one caller is benchmark/probes.go's
+// flcrypto.verify_batch64_us_per_sig probe; it goes when that metric does.
+func VerifyBatch(pubs []PublicKey, msgs [][]byte, sigs []Signature) []bool {
+	if len(pubs) != len(msgs) || len(msgs) != len(sigs) {
+		panic("flcrypto: VerifyBatch slice lengths differ")
+	}
+	valid := make([]bool, len(pubs))
+	for i, pub := range pubs {
+		valid[i] = pub != nil && pub.Verify(msgs[i], sigs[i])
+	}
+	return valid
 }

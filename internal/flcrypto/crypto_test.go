@@ -2,6 +2,7 @@ package flcrypto
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,45 @@ func TestSignaturePropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyBatchMixedSchemes pins VerifyBatch's contract: Ed25519 and ECDSA
+// keys side by side, a forgery among them, and every verdict equal to
+// pub.Verify's.
+func TestVerifyBatchMixedSchemes(t *testing.T) {
+	const n = 6
+	pubs := make([]PublicKey, n)
+	msgs := make([][]byte, n)
+	sigs := make([]Signature, n)
+	for i := range pubs {
+		scheme := Ed25519
+		if i == 1 || i == 4 {
+			scheme = ECDSAP256
+		}
+		priv, err := GenerateKey(scheme, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pubs[i] = priv.Public()
+		msgs[i] = []byte(fmt.Sprintf("mixed envelope %d", i))
+		if sigs[i], err = priv.Sign(msgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One forgery of each scheme.
+	for _, i := range []int{2, 4} {
+		sigs[i] = append(Signature(nil), sigs[i]...)
+		sigs[i][5] ^= 0xff
+	}
+	got := VerifyBatch(pubs, msgs, sigs)
+	for i := range pubs {
+		if want := pubs[i].Verify(msgs[i], sigs[i]); got[i] != want {
+			t.Fatalf("item %d: batch=%v single=%v", i, got[i], want)
+		}
+		if forged := i == 2 || i == 4; got[i] == forged {
+			t.Fatalf("item %d: verdict %v, forged %v", i, got[i], forged)
+		}
 	}
 }
 

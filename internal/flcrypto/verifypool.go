@@ -6,28 +6,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/adaptive"
 )
 
-// VerifyPool parallelizes, batches, and deduplicates signature verification.
+// VerifyPool parallelizes and deduplicates signature verification.
 // The paper's evaluation (§7, Fig 5) shows that once the network is
 // saturated, FireLedger's throughput is bounded by how fast nodes can check
 // envelopes, not by how fast they can move bytes — and the protocol
 // re-presents the same signed bytes many times (WRB echoes a proposer's
 // signed header to n−1 peers, OBBC evidence responses repeat it up to n−f
-// times, recovery versions repeat whole signed chains). The pool addresses
-// all three cost dimensions:
+// times, recovery versions repeat whole signed chains). The pool is two
+// things around PublicKey.Verify (crypto/ed25519 or crypto/ecdsa):
 //
 //   - a fixed set of worker goroutines (GOMAXPROCS by default) runs
 //     verifications submitted through VerifyAsync off the protocol event
 //     loops, so one core never serializes the whole cluster's crypto;
-//   - each worker drains up to BatchMax queued requests at once and checks
-//     the Ed25519 ones with a single multi-scalar batch combination (~2x
-//     single-verify throughput; see batch.go), holding a partial batch open
-//     only as long as the observed arrival rate says more work is coming
-//     (adaptive.FillWait — a lone request in a quiet cluster waits at most
-//     one MinBatchWait);
 //   - a sharded LRU cache keyed on (public key, SHA-256(msg), signature)
 //     collapses repeated checks of the same envelope into one crypto op.
 //
@@ -35,11 +27,8 @@ import (
 // signature over a previously-verified message can never hit a positive
 // entry: it hashes to a different key, misses, and is verified (and
 // rejected) for real. Negative results are cached too — replaying a forged
-// envelope costs an attacker one lookup, not one crypto op per copy. A
-// batch that fails bisects to isolate the forgeries (one bad envelope
-// cannot reject honest peers' signatures sharing its batch), and inside a
-// failure cone only individually-confirmed verdicts enter the cache — a
-// forged signature never poisons a cached-valid entry.
+// envelope costs an attacker one lookup, not one crypto op per copy. Every
+// cached verdict is the one PublicKey.Verify returned for that exact key.
 //
 // A nil *VerifyPool is valid everywhere and means synchronous, uncached
 // verification (the SyncVerify escape hatch deterministic tests rely on).
@@ -58,22 +47,12 @@ type VerifyPool struct {
 	submitMu sync.RWMutex
 	closed   bool
 
-	workers  int
-	batchMax int
-	minWait  time.Duration
-	maxWait  time.Duration
-	arrivals adaptive.Rate
+	workers int
 
 	shards [cacheShardCount]cacheShard
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-
-	batches     atomic.Uint64 // multi-scalar batch checks run at top level
-	batchedSigs atomic.Uint64 // signatures resolved via those batches
-	bisections  atomic.Uint64 // failed combinations that split
-	singles     atomic.Uint64 // async misses resolved by single verification
-	waitedNs    atomic.Uint64 // total time spent holding partial batches open
 }
 
 type verifyTask struct {
@@ -90,89 +69,30 @@ const (
 	// workers of a node; older entries are for decided rounds and can be
 	// re-verified in the unlikely case they resurface.
 	DefaultCacheSize = 8192
-	// DefaultBatchMax caps the signatures per multi-scalar combination.
-	// Past ~64 the per-signature saving flattens while a bisection pass
-	// over a poisoned batch gets pricier, so this is the sweet spot, not a
-	// hardware limit.
-	DefaultBatchMax = 64
-	// DefaultMinBatchWait is the grace period a worker holds a partial
-	// batch open when the arrival-rate estimator sees no load worth
-	// waiting for — the hard upper bound on batching-induced latency for a
-	// lone request in a quiet cluster.
-	DefaultMinBatchWait = 100 * time.Microsecond
-	// DefaultMaxBatchWait caps the adaptive fill wait under load.
-	DefaultMaxBatchWait = 2 * time.Millisecond
+	// minQueueDepth is the least number of submissions VerifyAsync can
+	// queue before it blocks its caller. The callers are the protocol event
+	// loops, so the depth is their backpressure: deep enough to absorb a
+	// round's burst of headers, votes and evidence across ω workers without
+	// stalling a loop, small enough that a loop outrunning the workers
+	// slows down instead of queueing without bound.
+	minQueueDepth = 128
 )
 
-// PoolOptions configures NewVerifyPoolOpts. The zero value of every field
-// selects its default; batching is on unless BatchMax is 1.
-type PoolOptions struct {
-	// Workers is the goroutine count; <= 0 selects GOMAXPROCS.
-	Workers int
-	// CacheSize bounds the verify cache; <= 0 selects DefaultCacheSize.
-	CacheSize int
-	// BatchMax caps signatures per batch combination; <= 0 selects
-	// DefaultBatchMax, 1 turns the batch path off: every verification is a
-	// single crypto op.
-	BatchMax int
-	// MinBatchWait / MaxBatchWait bound the adaptive batch-fill wait
-	// (defaults DefaultMinBatchWait / DefaultMaxBatchWait). A negative
-	// MinBatchWait selects zero: no grace period at all.
-	MinBatchWait time.Duration
-	MaxBatchWait time.Duration
-}
-
 // NewVerifyPool creates a pool with `workers` goroutines and a verify cache
-// of `cacheSize` entries, with batch verification on at the default knobs.
-// workers <= 0 selects GOMAXPROCS; cacheSize <= 0 selects DefaultCacheSize.
-// Call Close when the node shuts down.
+// of `cacheSize` entries. workers <= 0 selects GOMAXPROCS; cacheSize <= 0
+// selects DefaultCacheSize. Call Close when the node shuts down.
 func NewVerifyPool(workers, cacheSize int) *VerifyPool {
-	return NewVerifyPoolOpts(PoolOptions{Workers: workers, CacheSize: cacheSize})
-}
-
-// NewVerifyPoolOpts creates a pool from explicit options.
-func NewVerifyPoolOpts(opts PoolOptions) *VerifyPool {
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cacheSize := opts.CacheSize
 	if cacheSize <= 0 {
 		cacheSize = DefaultCacheSize
 	}
-	perShard := cacheSize / cacheShardCount
-	if perShard < 8 {
-		perShard = 8
-	}
-	batchMax := opts.BatchMax
-	if batchMax <= 0 {
-		batchMax = DefaultBatchMax
-	}
-	minWait := opts.MinBatchWait
-	switch {
-	case minWait < 0:
-		minWait = 0
-	case minWait == 0:
-		minWait = DefaultMinBatchWait
-	}
-	maxWait := opts.MaxBatchWait
-	if maxWait <= 0 {
-		maxWait = DefaultMaxBatchWait
-	}
-	if maxWait < minWait {
-		maxWait = minWait
-	}
-	queue := 4 * workers
-	if queue < 2*batchMax {
-		queue = 2 * batchMax
-	}
+	perShard := max(cacheSize/cacheShardCount, 8)
 	p := &VerifyPool{
-		tasks:    make(chan verifyTask, queue),
-		stop:     make(chan struct{}),
-		workers:  workers,
-		batchMax: batchMax,
-		minWait:  minWait,
-		maxWait:  maxWait,
+		tasks:   make(chan verifyTask, max(4*workers, minQueueDepth)),
+		stop:    make(chan struct{}),
+		workers: workers,
 	}
 	for i := range p.shards {
 		p.shards[i].init(perShard)
@@ -193,139 +113,16 @@ func (p *VerifyPool) Workers() int {
 	return p.workers
 }
 
-// BatchEnabled reports whether the multi-scalar batch path is active.
-func (p *VerifyPool) BatchEnabled() bool { return p != nil && p.batchMax > 1 }
-
-// BatchMax reports the configured batch-size cap (1 when batching is off).
-func (p *VerifyPool) BatchMax() int {
-	if p == nil {
-		return 0
-	}
-	return p.batchMax
-}
-
 func (p *VerifyPool) worker() {
 	defer p.wg.Done()
-	scratch := make([]verifyTask, 0, p.batchMax)
 	for {
 		select {
 		case t := <-p.tasks:
-			p.runTasks(p.fill(scratch[:0], t))
+			t.done(p.verifyCached(t.pub, t.msg, t.sig))
 		case <-p.stop:
 			return
 		}
 	}
-}
-
-// fill assembles one batch: the triggering task, whatever is already
-// queued, and — if the arrival rate justifies it — tasks landing within the
-// adaptive fill-wait window. The wait is a deadline, not a sleep; the batch
-// departs the moment it reaches batchMax.
-func (p *VerifyPool) fill(batch []verifyTask, first verifyTask) []verifyTask {
-	batch = append(batch, first)
-	for len(batch) < p.batchMax {
-		select {
-		case t := <-p.tasks:
-			batch = append(batch, t)
-			continue
-		default:
-		}
-		break
-	}
-	if len(batch) >= p.batchMax {
-		return batch
-	}
-	wait := adaptive.FillWait(&p.arrivals, len(batch), p.batchMax, p.minWait, p.maxWait)
-	if wait <= 0 {
-		return batch
-	}
-	start := time.Now()
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for len(batch) < p.batchMax {
-		select {
-		case t := <-p.tasks:
-			batch = append(batch, t)
-		case <-timer.C:
-			p.waitedNs.Add(uint64(time.Since(start)))
-			return batch
-		case <-p.stop:
-			p.waitedNs.Add(uint64(time.Since(start)))
-			return batch
-		}
-	}
-	p.waitedNs.Add(uint64(time.Since(start)))
-	return batch
-}
-
-// runTasks resolves one drained batch: cache pass first (hits answer
-// immediately), then one multi-scalar combination over the Ed25519 misses,
-// with everything else — other schemes, undersized remainders — verified
-// singly. Cache policy per batch.go's analysis: a combination that passes
-// clean vouches for every member (a forger without the key defeats it with
-// probability ≤ 2⁻¹²⁶); once a batch has failed anywhere, only verdicts
-// individually confirmed by stdlib verification may enter the cache.
-func (p *VerifyPool) runTasks(tasks []verifyTask) {
-	if len(tasks) == 1 {
-		t := tasks[0]
-		t.done(p.verifyCached(t.pub, t.msg, t.sig))
-		return
-	}
-	var (
-		eds   []*ed25519Pub
-		msgs  [][]byte
-		sigs  []Signature
-		dones []func(bool)
-		keys  []Hash
-	)
-	for _, t := range tasks {
-		key := cacheKey(t.pub, t.msg, t.sig)
-		shard := &p.shards[key[0]%cacheShardCount]
-		if ok, cached := shard.get(key); cached {
-			p.hits.Add(1)
-			t.done(ok)
-			continue
-		}
-		p.misses.Add(1)
-		ep, isEd := t.pub.(*ed25519Pub)
-		if p.batchMax <= 1 || !isEd {
-			p.singles.Add(1)
-			ok := t.pub.Verify(t.msg, t.sig)
-			shard.put(key, ok)
-			t.done(ok)
-			continue
-		}
-		eds = append(eds, ep)
-		msgs = append(msgs, t.msg)
-		sigs = append(sigs, t.sig)
-		dones = append(dones, t.done)
-		keys = append(keys, key)
-	}
-	if len(eds) == 0 {
-		return
-	}
-	if len(eds) == 1 {
-		p.singles.Add(1)
-		ok := eds[0].Verify(msgs[0], sigs[0])
-		p.cachePut(keys[0], ok)
-		dones[0](ok)
-		return
-	}
-	outcomes, st := batchVerify(eds, msgs, sigs)
-	p.batches.Add(1)
-	p.batchedSigs.Add(uint64(len(eds)))
-	p.bisections.Add(uint64(st.bisections))
-	p.singles.Add(uint64(st.singles))
-	for i, o := range outcomes {
-		if st.cleanPass || o.confirmed {
-			p.cachePut(keys[i], o.ok)
-		}
-		dones[i](o.ok)
-	}
-}
-
-func (p *VerifyPool) cachePut(key Hash, ok bool) {
-	p.shards[key[0]%cacheShardCount].put(key, ok)
 }
 
 // Close stops the workers and completes any still-queued tasks inline. Its
@@ -356,8 +153,8 @@ func (p *VerifyPool) Close() {
 
 // Verify checks sig over msg against pub synchronously, consulting the
 // cache. On a miss the crypto runs on the calling goroutine — callers that
-// need a bool now gain the dedup but not the parallelism or batching (that
-// is what VerifyAsync is for). Nil pools verify directly.
+// need a bool now gain the dedup but not the parallelism (that is what
+// VerifyAsync is for). Nil pools verify directly.
 func (p *VerifyPool) Verify(pub PublicKey, msg []byte, sig Signature) bool {
 	if pub == nil {
 		return false
@@ -388,7 +185,6 @@ func (p *VerifyPool) VerifyAsync(pub PublicKey, msg []byte, sig Signature, done 
 		done(pub.Verify(msg, sig))
 		return
 	}
-	p.arrivals.Observe(time.Now())
 	p.submitMu.RLock()
 	if p.closed {
 		p.submitMu.RUnlock()
@@ -412,36 +208,24 @@ func (p *VerifyPool) Stats() (hits, misses uint64) {
 	return p.hits.Load(), p.misses.Load()
 }
 
-// PoolBatchStats is a snapshot of the batch path's activity.
+// PoolBatchStats exists only because benchmark/node still reads these four
+// fields into the per-layer metrics flcrypto.verify_batch_mean,
+// verify_singles and verify_hold_ms_per_s. The pool does not batch, so
+// Batches, BatchedSigs and Waited are always zero. The type and
+// BatchStats go with the next change to the benchmark that drops those
+// metrics.
 type PoolBatchStats struct {
-	// Batches is the number of top-level multi-scalar combinations run;
-	// BatchedSigs the signatures they resolved (BatchedSigs/Batches is the
-	// achieved average batch size).
 	Batches     uint64
 	BatchedSigs uint64
-	// Bisections counts failed combinations that split — nonzero only when
-	// forged or corrupted envelopes shared a batch with honest ones.
-	Bisections uint64
-	// Singles counts async cache misses resolved by one-off verification:
-	// non-Ed25519 keys, undersized batches, bisection leaves, and
-	// non-canonical signatures diverted off the batch path.
+	// Singles counts the verifications the pool ran: its cache misses.
 	Singles uint64
-	// Waited is the cumulative time workers held partial batches open.
-	Waited time.Duration
+	Waited  time.Duration
 }
 
-// BatchStats reports the batch path's activity since creation.
+// BatchStats reports the pool's misses as Singles; see PoolBatchStats.
 func (p *VerifyPool) BatchStats() PoolBatchStats {
-	if p == nil {
-		return PoolBatchStats{}
-	}
-	return PoolBatchStats{
-		Batches:     p.batches.Load(),
-		BatchedSigs: p.batchedSigs.Load(),
-		Bisections:  p.bisections.Load(),
-		Singles:     p.singles.Load(),
-		Waited:      time.Duration(p.waitedNs.Load()),
-	}
+	_, misses := p.Stats()
+	return PoolBatchStats{Singles: misses}
 }
 
 func (p *VerifyPool) verifyCached(pub PublicKey, msg []byte, sig Signature) bool {
@@ -464,7 +248,11 @@ func (p *VerifyPool) verifyCached(pub PublicKey, msg []byte, sig Signature) bool
 func cacheKey(pub PublicKey, msg []byte, sig Signature) Hash {
 	msgDigest := Sum256(msg)
 	h := NewHasher()
-	h.Write(pub.Bytes())
+	if ep, ok := pub.(*ed25519Pub); ok {
+		h.Write(ep.k) // Bytes() copies the key; this runs on every lookup
+	} else {
+		h.Write(pub.Bytes())
+	}
 	h.Write(msgDigest[:])
 	h.Write(sig)
 	return h.Sum()

@@ -118,33 +118,3 @@ func BenchmarkVerifyPool(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBatchVerify measures the multi-scalar combination's per-signature
-// cost against batch size — the break-even curve behind DefaultBatchMax and
-// the adaptive fill wait. Reported as ns/op per signature.
-func BenchmarkBatchVerify(b *testing.B) {
-	benchSetup(b)
-	pub := benchPub.(*ed25519Pub)
-	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			pubs := make([]*ed25519Pub, n)
-			msgs := make([][]byte, n)
-			sigs := make([]Signature, n)
-			for i := 0; i < n; i++ {
-				pubs[i] = pub
-				msgs[i] = benchEnvs[i].msg
-				sigs[i] = benchEnvs[i].sig
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += n {
-				outcomes, _ := batchVerify(pubs, msgs, sigs)
-				for _, o := range outcomes {
-					if !o.ok {
-						b.Fatal("verification failed")
-					}
-				}
-			}
-		})
-	}
-}

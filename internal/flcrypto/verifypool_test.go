@@ -2,9 +2,12 @@ package flcrypto
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func poolKeyPair(t *testing.T) (PrivateKey, PublicKey) {
@@ -259,5 +262,159 @@ func TestVerifyPoolCloseCompletesQueued(t *testing.T) {
 	p.VerifyAsync(pub, msg, sig, func(v bool) { ran = v })
 	if !ran {
 		t.Fatal("VerifyAsync after Close did not run")
+	}
+}
+
+// TestVerifyPoolWorkersPinned is the regression test for the constructor's
+// worker-count semantics: zero and negative counts select GOMAXPROCS —
+// deterministically, not "whatever happened to work" — and explicit counts
+// are taken literally. Several callers (including this repo's own tests)
+// pass 0 and depend on getting a real pool.
+func TestVerifyPoolWorkersPinned(t *testing.T) {
+	want := runtime.GOMAXPROCS(0)
+	for _, w := range []int{0, -1, -64} {
+		p := NewVerifyPool(w, 0)
+		if got := p.Workers(); got != want {
+			t.Fatalf("NewVerifyPool(%d, 0).Workers() = %d, want GOMAXPROCS = %d", w, got, want)
+		}
+		p.Close()
+	}
+	p := NewVerifyPool(3, 0)
+	if got := p.Workers(); got != 3 {
+		t.Fatalf("explicit worker count not honored: got %d", got)
+	}
+	p.Close()
+	if (*VerifyPool)(nil).Workers() != 0 {
+		t.Fatal("nil pool must report zero workers")
+	}
+}
+
+// cachedAs reports whether the envelope currently has a cache entry, and
+// its cached verdict.
+func (p *VerifyPool) cachedAs(pub PublicKey, msg []byte, sig Signature) (ok, cached bool) {
+	key := cacheKey(pub, msg, sig)
+	return p.shards[key[0]%cacheShardCount].get(key)
+}
+
+// TestVerifyPoolForgedPositionsProperty is the cache-poisoning property
+// test: seed 1..k forged envelopes at random positions among N honest ones,
+// submit them all concurrently through VerifyAsync, and assert that (a)
+// exactly the forged positions get false, (b) the cache never holds a forged
+// envelope as valid, and (c) honest envelopes are not cached invalid. Runs
+// 1000 iterations (100 under -short).
+func TestVerifyPoolForgedPositionsProperty(t *testing.T) {
+	iters := 1000
+	if testing.Short() {
+		iters = 100
+	}
+	const n = 8
+	ks := MustGenerateKeySet(n, Ed25519)
+	p := NewVerifyPool(2, 0)
+	defer p.Close()
+	rng := rand.New(rand.NewSource(42))
+
+	type item struct {
+		pub    PublicKey
+		msg    []byte
+		sig    Signature
+		forged bool
+	}
+	for iter := 0; iter < iters; iter++ {
+		items := make([]item, n)
+		k := 1 + rng.Intn(3)
+		forgedAt := rng.Perm(n)[:k]
+		isForged := map[int]bool{}
+		for _, i := range forgedAt {
+			isForged[i] = true
+		}
+		for i := 0; i < n; i++ {
+			msg := []byte(fmt.Sprintf("property %d/%d", iter, i))
+			sig, err := ks.Privs[i].Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if isForged[i] {
+				sig = append(Signature(nil), sig...)
+				// Alternate corruption classes: tampered s, tampered R,
+				// tampered message bytes.
+				switch rng.Intn(3) {
+				case 0:
+					sig[32+rng.Intn(31)] ^= byte(1 + rng.Intn(255))
+				case 1:
+					sig[rng.Intn(32)] ^= byte(1 + rng.Intn(255))
+				default:
+					msg = append([]byte(nil), msg...)
+					msg[rng.Intn(len(msg))] ^= byte(1 + rng.Intn(255))
+				}
+			}
+			items[i] = item{pub: ks.Registry.PublicKey(NodeID(i)), msg: msg, sig: sig, forged: isForged[i]}
+		}
+		var wg sync.WaitGroup
+		got := make([]bool, n)
+		for i := range items {
+			wg.Add(1)
+			p.VerifyAsync(items[i].pub, items[i].msg, items[i].sig, func(ok bool) {
+				got[i] = ok
+				wg.Done()
+			})
+		}
+		wg.Wait()
+		for i, it := range items {
+			if got[i] == it.forged {
+				t.Fatalf("iter %d item %d: verdict %v, forged %v", iter, i, got[i], it.forged)
+			}
+			ok, cached := p.cachedAs(it.pub, it.msg, it.sig)
+			if it.forged && cached && ok {
+				t.Fatalf("iter %d: forged envelope %d cached as valid", iter, i)
+			}
+			if !it.forged && cached && !ok {
+				t.Fatalf("iter %d: honest envelope %d cached as invalid", iter, i)
+			}
+		}
+	}
+}
+
+// TestVerifyPoolCloseDeterministic is the regression test for the
+// Close/VerifyAsync race: submissions racing Close used to be able to land
+// in the queue after the drain pass and never get their callback. The
+// contract now: every VerifyAsync that returns gets its callback — from a
+// worker, from Close's drain, or synchronously after close — never dropped.
+func TestVerifyPoolCloseDeterministic(t *testing.T) {
+	priv, pub := poolKeyPair(t)
+	msg := []byte("closing race")
+	sig, _ := priv.Sign(msg)
+	for round := 0; round < 20; round++ {
+		p := NewVerifyPool(2, 0)
+		var submitted, called atomic.Uint64
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					p.VerifyAsync(pub, msg, sig, func(ok bool) {
+						if ok {
+							called.Add(1)
+						}
+					})
+					submitted.Add(1)
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
+		p.Close()
+		close(stop)
+		wg.Wait()
+		// Submissions that returned after Close ran synchronously, so by
+		// this point every callback must have fired.
+		if s, c := submitted.Load(), called.Load(); s != c {
+			t.Fatalf("round %d: %d submissions but %d callbacks", round, s, c)
+		}
 	}
 }

@@ -71,11 +71,10 @@ type Config struct {
 	Priv     flcrypto.PrivateKey
 	// VerifyPool is the node's shared signature-verification pool (parallel
 	// workers plus a dedup cache; see flcrypto.VerifyPool), threaded down to
-	// every protocol service. Nil creates a GOMAXPROCS-sized pool at the
-	// adaptive batching defaults, owned (and closed) by the node — set
-	// SyncVerify to opt out entirely. A supplied pool carries its own
-	// flcrypto.PoolOptions (the one place batch pacing lives) and is closed
-	// by its owner after Stop.
+	// every protocol service. Nil creates a GOMAXPROCS-sized pool with the
+	// default cache, owned (and closed) by the node — set SyncVerify to opt
+	// out entirely. A supplied pool is shared, not owned: its creator closes
+	// it after Stop.
 	VerifyPool *flcrypto.VerifyPool
 	// SyncVerify disables the asynchronous verification pipeline: every
 	// signature is checked inline and uncached where it arrives. The
@@ -799,8 +798,7 @@ func (n *Node) OBBCMetrics(w int) *obbc.Metrics { return n.obbcs[w].Metrics() }
 func (n *Node) EvidencePool(w int) *evidence.Pool { return n.evpools[w] }
 
 // VerifyPool exposes the node's signature-verification pool (nil in
-// SyncVerify mode) — harnesses read its BatchStats to report how much
-// verification actually batched.
+// SyncVerify mode) — harnesses read its Stats to report the cache hit rate.
 func (n *Node) VerifyPool() *flcrypto.VerifyPool { return n.verify }
 
 // DeliveredBlocks reports how many merged blocks this node has delivered.

@@ -171,7 +171,6 @@ func TestHarnessSurface(t *testing.T) {
 			"CompressibleLoad ExcludeConvicted"},
 		{reflect.TypeOf(Result{}), "TPS BPS RPS Latency Gaps FastFraction SignOpsPerBlock MsgsPerBlock " +
 			"BytesPerBlock Convictions EncPoolGets EncPoolReuses"},
-		{reflect.TypeOf(flcrypto.PoolOptions{}), "Workers CacheSize BatchMax MinBatchWait MaxBatchWait"},
 	} {
 		var got []string
 		for i := 0; i < c.typ.NumField(); i++ {

@@ -205,53 +205,31 @@ func RegressionScenarios() []Scenario {
 			Horizon: 4,
 		},
 		{
-			// Batch-verification failure cone under faults (PR 10): node 2
-			// corrupts every signature it emits, so honest pools keep finding
-			// forged envelopes inside real multi-signature batches — each one
-			// must be bisected out and individually condemned without
-			// rejecting the honest signatures sharing the combination (a
-			// collateral rejection would stall WRB delivery and trip the
-			// liveness oracle). The lossy epoch interleaves retransmissions
-			// so batch composition varies across the run;
-			// TestSimForgerBatchBisection layers an Inspect hook over this
-			// scenario asserting the honest pools actually batched and
-			// bisected.
-			Name: "forger-batch-bisect", Seed: 113,
+			// A forger under a lossy epoch: node 2 corrupts every signature it
+			// emits, so honest nodes must reject each of its envelopes while
+			// drops, duplicates and jitter reorder the traffic around them,
+			// and must never reject an honest signature verified beside a
+			// forged one (a wrong rejection would stall WRB delivery and trip
+			// the liveness oracle). Four worker instances keep several
+			// headers, honest and forged, in flight at once.
+			Name: "forger-lossy", Seed: 113,
 			Forgers: []int{2},
-			// Four worker instances run rounds in parallel, so several
-			// headers (honest and forged) are always in flight at once —
-			// the traffic density batching needs. A single instance emits
-			// one header per round and drains every batch as a singleton.
 			Workers: 4,
-			// Widened fill pacing: sim latency jitter spreads a round's
-			// envelope burst over a few ms, so the production-default 100µs
-			// grace period would verify mostly singletons. A small floor is
-			// the sweet spot — larger floors backfire, because header
-			// verdicts sit on the round's critical path: delaying them
-			// slows rounds, which spreads arrivals even further apart and
-			// no batch ever forms.
-			VerifyMinWait: 2 * time.Millisecond, VerifyMaxWait: 20 * time.Millisecond,
 			Events: []Event{
 				{Kind: EvLossy, At: 0, Dur: 900 * time.Millisecond, Drop: 0.1, Dup: 0.05, Jitter: 5 * time.Millisecond},
 			},
 			Horizon: 3,
 		},
 		{
-			// Adaptive batching on WAN round-trips (PR 10): the geo latency
-			// model (§7.5 region RTTs at 0.1 scale — tens of milliseconds
-			// per link) makes signature arrivals bursty and widely spaced
-			// instead of loopback-dense. The adaptive fill wait must not
-			// hold lone envelopes hostage between bursts (the liveness
-			// oracle would catch stalled rounds), and the group-commit-style
-			// pacing must still form batches when bursts do arrive —
-			// asserted by TestSimAdaptiveGeoWAN's Inspect hook.
-			Name: "adaptive-geo-wan", Seed: 114,
-			Geo: 0.1,
-			// Parallel worker instances keep several rounds in flight over
-			// the WAN links, so each node's inter-region burst carries more
-			// than one signature — see forger-batch-bisect.
-			Workers:       4,
-			VerifyMinWait: 2 * time.Millisecond, VerifyMaxWait: 20 * time.Millisecond,
+			// Liveness over WAN round-trips: the geo latency model (§7.5
+			// region RTTs at 0.1 scale — tens of milliseconds per link) with
+			// node 1 isolated for 700 ms. WRB's timers must stretch to the
+			// WAN without wedging, and the isolated node must catch up
+			// after the heal. Four worker instances keep several rounds in
+			// flight over the slow links.
+			Name: "geo-wan-isolate", Seed: 114,
+			Geo:     0.1,
+			Workers: 4,
 			Events: []Event{
 				{Kind: EvIsolate, At: 0, Dur: 700 * time.Millisecond, Node: 1},
 			},

@@ -54,12 +54,6 @@ type Cluster struct {
 	// stateSeq numbers the runner's client KV submissions.
 	stateSeq uint64
 
-	// pools holds each node's verify pool when the scenario widens the
-	// batch-fill pacing (Scenario.VerifyMinWait/VerifyMaxWait); nil
-	// otherwise — nodes then own a pool at the production defaults. A pool
-	// outlives its node's restarts.
-	pools []*flcrypto.VerifyPool
-
 	dirs []string
 	logf func(format string, args ...any)
 }
@@ -107,16 +101,6 @@ func Run(sc Scenario, opts RunOpts) error {
 			}
 			c.dirs[i] = dir
 			defer os.RemoveAll(dir)
-		}
-	}
-	if sc.VerifyMinWait > 0 || sc.VerifyMaxWait > 0 {
-		c.pools = make([]*flcrypto.VerifyPool, sc.N)
-		for i := range c.pools {
-			c.pools[i] = flcrypto.NewVerifyPoolOpts(flcrypto.PoolOptions{
-				MinBatchWait: sc.VerifyMinWait,
-				MaxBatchWait: sc.VerifyMaxWait,
-			})
-			defer c.pools[i].Close()
 		}
 	}
 	if sc.Stateful {
@@ -231,14 +215,9 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 		// inclusions the acked-write invariant has to tolerate.
 		LeaseTimeout: time.Second,
 	}
-	if c.pools != nil {
-		cfg.VerifyPool = c.pools[i]
-	}
 	if sc.forger(i) {
 		// Every signature this node emits is corrupted in place: envelopes
-		// decode fine at honest peers but fail verification — inside real
-		// multi-signature batches whenever traffic is dense enough, which is
-		// exactly the bisection path under test.
+		// decode fine at honest peers but fail verification there.
 		cfg.Priv = corruptSigner{c.KS.Privs[i]}
 	}
 	if sc.Persist {
@@ -281,9 +260,7 @@ func (c *Cluster) makeNode(i int, restart bool) (*flo.Node, error) {
 
 // corruptSigner implements a Scenario.Forgers node: signatures are produced
 // honestly and then damaged in the scalar half, so they keep the right
-// length and decodable components — the kind of forgery that rides into a
-// batched multi-scalar combination rather than being diverted to the
-// individual path at decode time.
+// length and reach the verifier instead of failing a length check.
 type corruptSigner struct {
 	flcrypto.PrivateKey
 }

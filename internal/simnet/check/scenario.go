@@ -130,26 +130,16 @@ type Scenario struct {
 	// Forgers they must stay within the f budget.
 	Equivocators []int
 	// Forgers lists nodes whose every outgoing signature is corrupted: their
-	// envelopes decode but fail verification at every honest peer. The shape
-	// that exercises the batch-verification failure cone under faults —
-	// forged envelopes land in real multi-signature batches and must be
-	// bisected out without rejecting the honest signatures around them.
-	// Forgers count as Byzantine for every oracle (they cannot rejoin:
+	// envelopes decode but fail verification at every honest peer, which must
+	// reject them without rejecting the honest signatures verified beside
+	// them. Forgers count as Byzantine for every oracle (they cannot rejoin:
 	// peers drop even their catch-up traffic).
 	Forgers []int
 	// Geo, when positive, runs the cluster over the seeded geo-distributed
 	// WAN latency model at that scale instead of the single-DC profile
-	// (simnet.Config.Geo) — validates that adaptive batching tuned on
-	// arrival rates holds on WAN round-trips, not just loopback.
+	// (simnet.Config.Geo): timers and liveness on WAN round-trips, not just
+	// loopback.
 	Geo float64
-	// VerifyMinWait/VerifyMaxWait override the verify pools' batch-fill
-	// pacing: the runner builds each node's pool from these
-	// (flcrypto.PoolOptions) and injects it. Scenarios that assert batch
-	// formation widen these: simulated latency jitter spreads a round's
-	// envelope burst over a few milliseconds, more than the
-	// production-default grace period bothers to bridge.
-	VerifyMinWait time.Duration
-	VerifyMaxWait time.Duration
 	// Events is the fault schedule, executed relative to chaos start.
 	Events []Event
 	// Warmup is the definite-round count every node reaches before chaos.
