@@ -109,11 +109,12 @@ func (c *Client) SubmitWait(ctx context.Context, payload []byte) (Receipt, error
 	return p.Wait(ctx)
 }
 
-// Blocks streams the node's merged definite block sequence from cursor:
-// history replayed from the node's log (or in-memory chain), then the live
-// delivery tail, every block exactly once — every matching block, when
-// filter options narrow the stream. Multiple concurrent streams per
-// in-process session are allowed.
+// Blocks streams the node's merged definite block sequence from cursor,
+// every block exactly once (every matching block, when filter options narrow
+// the stream). The stream is served by clientapi's fan-out hub, the engine
+// behind remote subscriptions: history replayed from the node's log (or
+// in-memory chain), then the live delivery tail. Multiple concurrent streams
+// per in-process session are allowed; each ends when its ctx does.
 func (c *Client) Blocks(ctx context.Context, cursor Cursor, opts ...StreamOption) (<-chan BlockEvent, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -121,30 +122,7 @@ func (c *Client) Blocks(ctx context.Context, cursor Cursor, opts ...StreamOption
 		return nil, errors.New("fireledger: session closed")
 	}
 	c.mu.Unlock()
-	cfg := clientapi.StreamConfig{Filter: clientapi.BuildFilter(opts...)}
-	ch := make(chan BlockEvent, 256)
-	go func() {
-		defer close(ch)
-		err := clientapi.StreamWith(ctx, c.node, cursor, cfg, func(w uint32, blk types.Block) error {
-			select {
-			case ch <- BlockEvent{Worker: w, Block: blk}:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			// The terminal error is a contract signal (ErrCompacted means
-			// the consumer has a gap); it must not be droppable by a full
-			// buffer. Blocking on ctx is safe: the consumer owns ctx and a
-			// consumer that stopped draining blocks the stream either way.
-			select {
-			case ch <- BlockEvent{Err: err}:
-			case <-ctx.Done():
-			}
-		}
-	}()
-	return ch, nil
+	return clientapi.StreamLocal(ctx, c.node, cursor, clientapi.BuildFilter(opts...)), nil
 }
 
 // Get reads key from the node's ledger state once the applied frontier

@@ -190,14 +190,19 @@ func TestClientBlocksStream(t *testing.T) {
 		round  uint64
 		hash   Hash
 	}
+	const want = 20
 	var mu sync.Mutex
 	var local []key
+	delivered := make(chan struct{}) // closed at node 0's want-th delivery
 	cluster := clientCluster(t, func(i int, cfg *Config) {
 		if i == 0 {
 			cfg.Workers = 2 // exercise merged-order cursor arithmetic
 			cfg.Deliver = func(w uint32, blk Block) {
 				mu.Lock()
 				local = append(local, key{w, blk.Signed.Header.Round, blk.Hash()})
+				if len(local) == want {
+					close(delivered)
+				}
 				mu.Unlock()
 			}
 		} else {
@@ -215,7 +220,6 @@ func TestClientBlocksStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 20
 	var got []key
 	for len(got) < want {
 		select {
@@ -228,18 +232,12 @@ func TestClientBlocksStream(t *testing.T) {
 			t.Fatalf("timed out after %d blocks", len(got))
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	select {
+	case <-delivered:
+	case <-ctx.Done():
 		mu.Lock()
-		n := len(local)
-		mu.Unlock()
-		if n >= want {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node delivered only %d blocks", n)
-		}
-		time.Sleep(10 * time.Millisecond)
+		defer mu.Unlock()
+		t.Fatalf("node delivered only %d blocks", len(local))
 	}
 	mu.Lock()
 	defer mu.Unlock()

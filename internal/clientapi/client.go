@@ -398,10 +398,7 @@ func (w *clientWatch) offer(upd KeyUpdate) {
 	w.mu.Lock()
 	w.latest, w.has = upd, true
 	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
+	poke(w.wake)
 	w.readyOnce.Do(func() { w.ready <- nil })
 }
 

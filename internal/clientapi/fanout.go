@@ -1,31 +1,31 @@
 package clientapi
 
-// The node-wide fan-out hub: one delivery tap, one encoding, and one bounded
-// frame ring shared by every subscriber of a server, in place of the
-// per-connection replay loop + private live buffer the server used when
-// subscribers numbered in the single digits.
+// The fan-out hub: the one engine behind every block stream. A Server runs
+// one hub for all of its SUBSCRIBE connections; an in-process stream
+// (StreamLocal) runs its own for the stream's lifetime. Either way a hub is
+// one delivery tap, one bounded ring of delivered blocks, shared replay
+// cohorts below it, and sinks that never block.
 //
 // Architecture (three tiers per subscriber):
 //
 //   - live: the subscriber's cursor sits at the hub frontier. Every
-//     delivered block is marshaled into a BLOCK frame exactly once and the
-//     same []byte is handed to every live subscriber's send queue (frames
-//     are immutable after finishFrame, so sharing needs no refcount). A
-//     full send queue moves the subscriber to the lagging set — nothing in
-//     the live tier ever blocks, so one stalled subscriber cannot delay the
-//     others.
+//     delivered block is offered to every live subscriber's sink; a
+//     connection's sink asks the hub for the block's BLOCK frame, marshaled
+//     exactly once and shared by every connection (frames are immutable
+//     after finishFrame, so sharing needs no refcount). A full sink moves
+//     the subscriber to the lagging set — nothing in the live tier ever
+//     blocks, so one stalled subscriber cannot delay the others.
 //   - lagging: the cursor is behind the frontier but still inside the hub
-//     ring. Once the connection's write loop drains (Unpark), the pump
-//     pushes the missed ring frames — still the shared encodings — and the
-//     subscriber rejoins the live tier.
+//     ring. Once the sink drains (Unpark), the pump pushes the missed ring
+//     frames — still the shared encodings — and the subscriber rejoins the
+//     live tier.
 //   - cohort: the cursor fell below the ring (or the subscriber arrived
 //     with a historical cursor). Subscribers are grouped into replay
 //     cohorts by cursor segment; each cohort runs ONE sweep of
 //     Node.ReadDefinite per pass and feeds every member from the same read
-//     batch and the same encoding, instead of one private replay loop per
-//     connection. A member that reaches the ring is promoted back toward
-//     the live tier; promotion happens under the hub lock, serialized with
-//     ring appends, so the handoff has no gap.
+//     batch and the same encoding. A member that reaches the ring is
+//     promoted back toward the live tier; promotion happens under the hub
+//     lock, serialized with ring appends, so the handoff has no gap.
 //
 // Filters (wire protocol 1.3) are evaluated once per block per distinct
 // filter — a per-frame client-id set plus a per-frame verdict cache — and a
@@ -40,15 +40,18 @@ import (
 	"repro/internal/types"
 )
 
-// hubRingCap bounds the shared frame ring (the node-wide replacement for the
-// per-connection liveBuffer): subscribers more than hubRingCap blocks behind
-// the frontier are served from their replay cohort instead.
+// hubRingCap bounds the ring of delivered blocks a hub keeps, and so the
+// memory of an in-process stream: a subscriber more than hubRingCap blocks
+// behind the frontier is served from a replay cohort instead.
 const hubRingCap = 1024
 
 // hubSegSize is the width, in merged positions, of one replay-cohort
 // segment: subscribers whose cursors fall in the same segment share one
 // historical sweep.
 const hubSegSize = 256
+
+// replayBatch is how many blocks one historical read fetches per worker.
+const replayBatch = 64
 
 // FanoutStats is a snapshot of a hub's counters (Server.Fanout).
 type FanoutStats struct {
@@ -81,13 +84,13 @@ type FanoutStats struct {
 	Cohorts     int
 }
 
-// fanoutSink is one subscriber's delivery surface. TrySend must not block:
-// false parks the subscriber, and the hub retries from the shared ring (or
-// the subscriber's replay cohort) after Unpark. End reports a terminal
-// stream error (compacted cursor, read failure); the hub forgets the
-// subscriber before calling it.
+// fanoutSink is one subscriber's delivery surface. TrySend runs under the
+// hub lock and must not block: false parks the subscriber, and the hub
+// retries from the shared ring (or the subscriber's replay cohort) after
+// Unpark. End reports a terminal stream error (compacted cursor, read
+// failure); the hub forgets the subscriber before calling it.
 type fanoutSink interface {
-	TrySend(frame []byte) bool
+	TrySend(f *hubFrame) bool
 	End(err error)
 }
 
@@ -104,9 +107,9 @@ type hubSub struct {
 	sink   fanoutSink
 	filter Filter
 
-	// parked is set when the subscriber's send queue refused a frame and
-	// cleared by Unpark once the connection drains; the hub skips parked
-	// subscribers instead of re-trying into a known-full queue.
+	// parked is set when the subscriber's sink refused a frame and cleared
+	// by Unpark once the sink drains; the hub skips parked subscribers
+	// instead of re-trying into a known-full queue.
 	parked atomic.Bool
 
 	// Guarded by Hub.mu.
@@ -157,25 +160,14 @@ func (f *hubFrame) match(flt Filter) bool {
 	return v
 }
 
-// HubConfig tunes a Hub.
-type HubConfig struct {
-	// RingCap bounds the shared frame ring (default hubRingCap).
-	RingCap int
-	// SegSize is the replay-cohort segment width in merged positions
-	// (default hubSegSize).
-	SegSize uint64
-	// Logf receives hub diagnostics; nil discards them.
-	Logf func(format string, args ...any)
-}
-
-// Hub is the node-wide fan-out engine behind a Server's SUBSCRIBE streams:
-// one SubscribeDeliver tap, each BLOCK frame encoded once and shared across
-// every subscriber, cold subscribers grouped into shared replay cohorts.
+// Hub is the fan-out engine behind every block stream: one
+// SubscribeDeliver tap, each BLOCK frame encoded at most once and shared
+// across every subscriber, cold subscribers grouped into shared replay
+// cohorts.
 type Hub struct {
 	node    Node
 	workers int
 	ringCap int
-	segSize uint64
 	logf    func(format string, args ...any)
 
 	framesEncoded, bytesEncoded   atomic.Uint64
@@ -205,21 +197,14 @@ type Hub struct {
 	wg       sync.WaitGroup
 }
 
-// NewHub creates a hub for node and attaches its delivery tap. Close it to
-// detach.
-func NewHub(node Node, cfg HubConfig) *Hub {
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = hubRingCap
-	}
-	if cfg.SegSize == 0 {
-		cfg.SegSize = hubSegSize
-	}
+// NewHub creates a hub for node and attaches its delivery tap; logf, when
+// set, receives hub diagnostics. Close the hub to detach.
+func NewHub(node Node, logf func(format string, args ...any)) *Hub {
 	h := &Hub{
 		node:     node,
 		workers:  node.Workers(),
-		ringCap:  cfg.RingCap,
-		segSize:  cfg.SegSize,
-		logf:     cfg.Logf,
+		ringCap:  hubRingCap,
+		logf:     logf,
 		live:     make(map[*hubSub]struct{}),
 		lagging:  make(map[*hubSub]struct{}),
 		cohorts:  make(map[uint64]*cohort),
@@ -234,8 +219,8 @@ func NewHub(node Node, cfg HubConfig) *Hub {
 }
 
 // Close detaches the delivery tap and stops the pump and every cohort.
-// Active subscribers are forgotten without a terminal frame (their
-// connections are being torn down alongside).
+// Active subscribers are forgotten without a terminal event (their
+// connections or streams are being torn down alongside).
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -311,9 +296,9 @@ func (h *Hub) Unsubscribe(sub *hubSub) {
 	h.mu.Unlock()
 }
 
-// Unpark tells the hub that sub's connection drained its send queue: frames
-// the subscriber missed while parked are worth retrying. Cheap when the
-// subscriber is not parked (one atomic load).
+// Unpark tells the hub that sub's sink drained: frames the subscriber missed
+// while parked are worth retrying. Cheap when the subscriber is not parked
+// (one atomic load).
 func (h *Hub) Unpark(sub *hubSub) {
 	if sub == nil || !sub.parked.Load() {
 		return
@@ -328,9 +313,9 @@ func (h *Hub) Unpark(sub *hubSub) {
 		coh = sub.coh
 	}
 	h.mu.Unlock()
-	h.wakePump()
+	poke(h.pumpWake)
 	if coh != nil {
-		coh.signal()
+		poke(coh.wake)
 	}
 }
 
@@ -339,9 +324,11 @@ func (h *Hub) Unpark(sub *hubSub) {
 // metrics).
 func (h *Hub) NoteOverflowDisconnect() { h.overflowDisconnects.Add(1) }
 
-func (h *Hub) wakePump() {
+// poke wakes the goroutine waiting on ch (capacity 1) without blocking; a
+// wake-up already pending absorbs this one.
+func poke(ch chan struct{}) {
 	select {
-	case h.pumpWake <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -364,7 +351,7 @@ func (h *Hub) dropLocked(sub *hubSub) {
 // cohortAddLocked files sub into the replay cohort covering its cursor,
 // creating the cohort (and its sweep goroutine) on first use.
 func (h *Hub) cohortAddLocked(sub *hubSub) {
-	seg := sub.pos / h.segSize
+	seg := sub.pos / hubSegSize
 	c := h.cohorts[seg]
 	if c == nil {
 		c = &cohort{
@@ -388,7 +375,7 @@ func (h *Hub) cohortAddLocked(sub *hubSub) {
 	c.members[sub] = struct{}{}
 	sub.tier = tierCohort
 	sub.coh = c
-	c.signal()
+	poke(c.wake)
 }
 
 // segCacheKeep bounds how many dissolved-cohort frame caches the hub
@@ -419,7 +406,7 @@ func (h *Hub) donateCacheLocked(c *cohort) {
 }
 
 // frameBytesLocked returns the frame's shared encoding, marshaling it on
-// first use (once per block, however many subscribers receive it).
+// first use (once per block, however many connections receive it).
 func (h *Hub) frameBytesLocked(f *hubFrame) []byte {
 	if f.frame == nil {
 		f.frame = marshalBlock(blockMsg{Worker: f.worker, Block: f.blk})
@@ -438,14 +425,15 @@ func (h *Hub) offerLocked(sub *hubSub, f *hubFrame) {
 		h.blocksFiltered.Add(1)
 		return
 	}
-	frame := h.frameBytesLocked(f)
-	if sub.sink.TrySend(frame) {
+	// Parked before the offer, not after a refusal: a sink that drains
+	// between refusing and the mark would find nothing to Unpark, and the
+	// subscriber would stay parked for good.
+	sub.parked.Store(true)
+	if sub.sink.TrySend(f) {
+		sub.parked.Store(false)
 		sub.pos++
-		h.framesShared.Add(1)
-		h.bytesSent.Add(uint64(len(frame)))
 		return
 	}
-	sub.parked.Store(true)
 	if sub.tier == tierLive {
 		delete(h.live, sub)
 		h.lagging[sub] = struct{}{}
@@ -523,7 +511,7 @@ func (h *Hub) onDeliver(w uint32, blk types.Block) {
 	if trimmed {
 		// Maintain the tier invariant eagerly: a parked subscriber the ring
 		// just trimmed past would otherwise linger in the lagging tier until
-		// its connection drains — which for a stalled client is never. Move
+		// its sink drains — which for a stalled client is never. Move
 		// it to cohort replay now; the cohort skips it while parked, so a
 		// stalled subscriber costs nothing there.
 		for sub := range h.lagging {
@@ -540,9 +528,9 @@ func (h *Hub) onDeliver(w uint32, blk types.Block) {
 	}
 	h.mu.Unlock()
 
-	h.wakePump()
+	poke(h.pumpWake)
 	for _, c := range wakes {
-		c.signal()
+		poke(c.wake)
 	}
 }
 
@@ -564,7 +552,7 @@ func (h *Hub) resetRingLocked(pos uint64) {
 }
 
 // pump fans newly delivered ring frames to the live tier and retries
-// lagging subscribers whose connections have drained. One goroutine per
+// lagging subscribers whose sinks have drained. One goroutine per
 // hub: the delivery path only appends and signals.
 func (h *Hub) pump() {
 	defer h.wg.Done()
@@ -604,8 +592,8 @@ func (h *Hub) pump() {
 }
 
 // cohort is one shared replay sweep: every subscriber whose cursor falls in
-// segment seg ([seg·segSize, (seg+1)·segSize) in merged positions) is fed
-// from the same ReadDefinite batches and the same per-block encoding.
+// segment seg ([seg·hubSegSize, (seg+1)·hubSegSize) in merged positions) is
+// fed from the same ReadDefinite batches and the same per-block encoding.
 type cohort struct {
 	hub  *Hub
 	seg  uint64
@@ -618,15 +606,8 @@ type cohort struct {
 	// repeated sweep passes (members absorb only a send queue's worth of
 	// frames per pass) reuse one encoding per block per cohort. Touched only
 	// by the cohort goroutine; entries below every member's cursor are
-	// evicted each pass, bounding it at segSize frames.
+	// evicted each pass, bounding it at hubSegSize frames.
 	cache map[uint64]*hubFrame
-}
-
-func (c *cohort) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 // run is the cohort's sweep loop. Each pass sweeps once from the minimum
@@ -636,7 +617,7 @@ func (c *cohort) signal() {
 func (c *cohort) run() {
 	h := c.hub
 	defer h.wg.Done()
-	segEnd := (c.seg + 1) * h.segSize
+	segEnd := (c.seg + 1) * hubSegSize
 	queues := make([][]types.Block, h.workers)
 	for {
 		h.mu.Lock()

@@ -280,11 +280,11 @@ func TestFanoutSoakStalledSubscriber(t *testing.T) {
 	// A small ring and send queue make the stall observable within 60
 	// blocks: the stalled connection's queue fills at 8 frames, and once the
 	// ring advances 16 positions past its cursor it must be demoted.
-	srv := NewServer(node, ServerOptions{
-		SendQueueCap: 8,
-		Hub:          HubConfig{RingCap: 16},
-	})
+	srv := NewServer(node, ServerOptions{SendQueueCap: 8})
 	defer srv.Close()
+	srv.hub.mu.Lock()
+	srv.hub.ringCap = 16
+	srv.hub.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -404,4 +404,50 @@ func TestFanoutSoakStalledSubscriber(t *testing.T) {
 	}
 	t.Logf("fanout soak: subs=%d blocks=%d encoded=%d shared=%d demotions=%d promotions=%d cohortReplays=%d",
 		subs, nblocks, fs.FramesEncoded, fs.FramesShared, fs.Demotions, fs.Promotions, fs.CohortReplays)
+}
+
+// refusingSink refuses every block, reporting whether its subscriber was
+// already marked parked when it refused.
+type refusingSink struct {
+	sub     *hubSub
+	refused chan bool
+}
+
+func (s *refusingSink) TrySend(*hubFrame) bool {
+	select {
+	case s.refused <- s.sub.parked.Load():
+	default:
+	}
+	return false
+}
+
+func (s *refusingSink) End(error) {}
+
+// TestHubParksBeforeOffer: a sink may drain (and call Unpark) the moment it
+// has refused a block, so the subscriber must already be marked parked by
+// then; otherwise that Unpark is lost and the stream stalls for good.
+func TestHubParksBeforeOffer(t *testing.T) {
+	ks := flcrypto.MustGenerateKeySet(4, flcrypto.Ed25519)
+	log, _, err := store.Open(filepath.Join(t.TempDir(), "w0.log"), store.Options{Registry: ks.Registry, Instance: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	node := newFakeNode(t, log)
+	hub := NewHub(node, nil)
+	defer hub.Close()
+	sink := &refusingSink{refused: make(chan bool, 1)}
+	sink.sub, err = hub.Subscribe(Cursor{}, Filter{}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.deliver(buildChainBlocks(t, ks, 1)[0])
+	select {
+	case parked := <-sink.refused:
+		if !parked {
+			t.Fatal("the sink refused a block before its subscriber was marked parked")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the block was never offered")
+	}
 }

@@ -1,7 +1,7 @@
 // Package clientapi is FireLedger's application-facing client protocol: a
 // versioned, length-framed TCP wire format plus the server and client that
-// speak it, and the cursor-replay streaming engine both the remote and the
-// in-process session share.
+// speak it, and the fan-out hub that serves block streams to both remote and
+// in-process sessions.
 //
 // One connection is one session. The conversation:
 //
@@ -107,9 +107,16 @@ const MaxScanEntries = 4096
 // ErrFrameTooLarge reports a length prefix above MaxFrame.
 var ErrFrameTooLarge = errors.New("clientapi: frame exceeds MaxFrame")
 
+// framePrealloc caps what readFrame allocates before a frame's bytes have
+// arrived: a peer that declares MaxFrame and goes silent costs this much, not
+// 64 MiB. Submit frames and blocks of up to 1,000 × 512 B fit in one
+// allocation of exactly their size.
+const framePrealloc = 1 << 20
+
 // readFrame reads one length-prefixed frame, returning its kind and payload.
 // The payload is freshly allocated per frame, so decoded values (including
-// blocks, whose codec retains the wire slice) may alias it freely.
+// blocks, whose codec retains the wire slice) may alias it freely. A frame
+// larger than framePrealloc grows its buffer as its bytes arrive.
 func readFrame(r io.Reader) (kind uint8, payload []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -122,11 +129,20 @@ func readFrame(r io.Reader) (kind uint8, payload []byte, err error) {
 	if n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, min(int(n), framePrealloc))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, buf[read:])
+		if err == io.EOF && read > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if read += m; read == int(n) {
+			return buf[0], buf[1:], nil
+		}
+		buf = append(buf, make([]byte, min(int(n)-read, read))...)
 	}
-	return buf[0], buf[1:], nil
 }
 
 // frame starts a wire frame of the given kind, reserving the length prefix;
@@ -264,6 +280,32 @@ type Filter struct {
 	// TxPrefix, when non-empty, requires a transaction whose payload starts
 	// with these bytes.
 	TxPrefix []byte
+}
+
+// StreamOption narrows a block subscription with a server-side filter
+// (wire protocol 1.3). Options combine conjunctively: every set condition
+// must hold on the same transaction for a block to be delivered.
+type StreamOption func(*Filter)
+
+// WithClientFilter delivers only blocks carrying a transaction submitted by
+// client — an end-user app streaming its own writes, not the whole ledger.
+func WithClientFilter(client uint64) StreamOption {
+	return func(f *Filter) { f.HasClient, f.Client = true, client }
+}
+
+// WithTxPrefix delivers only blocks carrying a transaction whose payload
+// starts with prefix.
+func WithTxPrefix(prefix []byte) StreamOption {
+	return func(f *Filter) { f.TxPrefix = append([]byte(nil), prefix...) }
+}
+
+// BuildFilter folds options into a wire Filter.
+func BuildFilter(opts ...StreamOption) Filter {
+	var f Filter
+	for _, o := range opts {
+		o(&f)
+	}
+	return f
 }
 
 // Empty reports whether the filter matches everything.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/flcrypto"
+	"repro/internal/statemachine"
 	"repro/internal/types"
 )
 
@@ -27,9 +29,28 @@ type ServerOptions struct {
 	// Logf, when set, receives server diagnostics (accept/handshake/conn
 	// errors). Nil discards them.
 	Logf func(format string, args ...any)
-	// Hub tunes the fan-out hub (ring capacity, cohort segment width).
-	// Hub.Logf defaults to Logf.
-	Hub HubConfig
+}
+
+// Node is the node-side surface the client API drives. *flo.Node implements
+// it; tests may substitute a fake.
+type Node interface {
+	ID() flcrypto.NodeID
+	N() int
+	Workers() int
+	Submit(tx types.Transaction) error
+	SubscribeDeliver(fn func(worker uint32, blk types.Block)) (cancel func())
+	ReadDefinite(worker uint32, from uint64, max int) ([]types.Block, error)
+	RegisterClient(id uint64) error
+	UnregisterClient(id uint64)
+	DeliveredBlocks() uint64
+	DeliveredTxs() uint64
+	PoolPending() int
+	// State reads (wire protocol 1.2), served from the node's ledger
+	// replica once its applied frontier covers the (worker, round) token;
+	// statemachine.ErrNoState when the node has no backend configured.
+	StateGet(ctx context.Context, key string, worker uint32, round uint64) ([]byte, bool, error)
+	StateScan(ctx context.Context, begin, end string, max int, worker uint32, round uint64) ([]statemachine.Entry, error)
+	StateWatch(ctx context.Context, key string, worker uint32, round uint64) (<-chan statemachine.KeyUpdate, func(), error)
 }
 
 // Server serves the client wire protocol on behalf of one node. It owns a
@@ -37,8 +58,7 @@ type ServerOptions struct {
 // SubscribeDeliver tap that routes commit receipts to the sessions whose
 // transactions appear in delivered blocks, and one fan-out Hub through which
 // every SUBSCRIBE stream is served (one encoding per block shared across all
-// subscribers; see fanout.go — connections no longer run private replay
-// loops).
+// subscribers; see fanout.go).
 type Server struct {
 	node Node
 	opts ServerOptions
@@ -66,11 +86,7 @@ func NewServer(node Node, opts ServerOptions) *Server {
 		conns:    make(map[*serverConn]bool),
 		sessions: make(map[uint64]*serverConn),
 	}
-	hubCfg := opts.Hub
-	if hubCfg.Logf == nil {
-		hubCfg.Logf = opts.Logf
-	}
-	s.hub = NewHub(node, hubCfg)
+	s.hub = NewHub(node, opts.Logf)
 	s.cancelDeliver = node.SubscribeDeliver(s.onDeliver)
 	return s
 }
@@ -628,7 +644,18 @@ func (c *serverConn) serveWatch(m watchMsg) {
 // connection (unsubscribe / replacement) detaches it first.
 type connSink struct{ c *serverConn }
 
-func (s *connSink) TrySend(frame []byte) bool { return s.c.tryEnqueueStream(frame) }
+// TrySend queues the block's shared BLOCK frame, encoding it at the hub on
+// first use. Hub.mu is held.
+func (s *connSink) TrySend(f *hubFrame) bool {
+	hub := s.c.srv.hub
+	frame := hub.frameBytesLocked(f)
+	if !s.c.tryEnqueueStream(frame) {
+		return false
+	}
+	hub.framesShared.Add(1)
+	hub.bytesSent.Add(uint64(len(frame)))
+	return true
+}
 
 func (s *connSink) End(err error) { s.c.streamEnded(s, err) }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // fakeNode implements Node over a real store.BlockLog (single worker): the
-// deterministic harness for the cursor-replay engine. Tests drive the
+// deterministic harness for the fan-out hub's replay and live tiers. Tests drive the
 // "cluster" by appending blocks and announcing them to subscribers — so a
 // replay-vs-live race never depends on consensus timing.
 type fakeNode struct {
@@ -184,35 +184,26 @@ func TestStreamReplayAcrossCompaction(t *testing.T) {
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	got := make(chan types.Block, 64)
-	streamErr := make(chan error, 1)
-	go func() {
-		streamErr <- Stream(ctx, node, Cursor{Worker: 0, Round: 23}, func(_ uint32, blk types.Block) error {
-			got <- blk
-			return nil
-		})
-	}()
+	events := StreamLocal(ctx, node, Cursor{Worker: 0, Round: 23}, Filter{})
 
 	next := uint64(23)
-	recv := func(why string) types.Block {
+	recv := func(why string) {
 		t.Helper()
 		select {
-		case blk := <-got:
-			if r := blk.Signed.Header.Round; r != next {
+		case ev, ok := <-events:
+			if !ok || ev.Err != nil {
+				t.Fatalf("%s: stream ended early: %v", why, ev.Err)
+			}
+			if r := ev.Block.Signed.Header.Round; r != next {
 				t.Fatalf("%s: got round %d, want %d (gap or duplicate)", why, r, next)
 			}
-			if blk.Hash() != blocks[next-1].Hash() {
+			if ev.Block.Hash() != blocks[next-1].Hash() {
 				t.Fatalf("%s: round %d content mismatch", why, next)
 			}
 			next++
-			return blk
-		case err := <-streamErr:
-			t.Fatalf("%s: stream ended early: %v", why, err)
 		case <-ctx.Done():
 			t.Fatalf("%s: timed out waiting for round %d", why, next)
 		}
-		panic("unreachable")
 	}
 
 	// Historical suffix 23..30 from the compacted log.
@@ -227,8 +218,8 @@ func TestStreamReplayAcrossCompaction(t *testing.T) {
 		recv("live tail")
 	}
 	cancel()
-	if err := <-streamErr; !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stream end: %v", err)
+	for ev := range events {
+		t.Fatalf("event after cancel: err=%v round=%d", ev.Err, ev.Block.Signed.Header.Round)
 	}
 }
 
@@ -241,9 +232,12 @@ func TestStreamCursorBelowRetainedHistory(t *testing.T) {
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err := Stream(ctx, node, Cursor{Worker: 0, Round: 5}, func(uint32, types.Block) error { return nil })
-	if !errors.Is(err, store.ErrCompacted) {
-		t.Fatalf("stream below base returned %v, want ErrCompacted", err)
+	var evs []BlockEvent
+	for ev := range StreamLocal(ctx, node, Cursor{Worker: 0, Round: 5}, Filter{}) {
+		evs = append(evs, ev)
+	}
+	if len(evs) != 1 || !errors.Is(evs[0].Err, store.ErrCompacted) {
+		t.Fatalf("stream below base yielded %d events (first %+v), want one ErrCompacted", len(evs), evs)
 	}
 }
 
@@ -290,7 +284,7 @@ func TestRemoteCursorBelowRetainedHistoryTyped(t *testing.T) {
 }
 
 // TestStreamSlowConsumerFallsBackToReplay: a consumer slower than block
-// production must overflow the live buffer and be served from replay (at
+// production must fall out of the hub's ring and be served from replay (at
 // its own pace) rather than stall the delivery path — and still observe
 // every block exactly once.
 func TestStreamSlowConsumerFallsBackToReplay(t *testing.T) {
@@ -300,54 +294,49 @@ func TestStreamSlowConsumerFallsBackToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	total := liveBufCap + 200
+	// The stream absorbs up to a sink queue (and one relayed batch) before it
+	// is parked; the ring must then move more than hubRingCap past it.
+	total := hubRingCap + 2*localQueueCap + 200
 	blocks := buildChainBlocks(t, ks, total)
 
 	node := newFakeNode(t, log)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	gate := make(chan struct{})
-	events := make(chan types.Block, total)
-	done := make(chan error, 1)
-	go func() {
-		done <- Stream(ctx, node, Cursor{}, func(_ uint32, blk types.Block) error {
-			<-gate // consumer paced by the test
-			events <- blk
-			return nil
-		})
-	}()
-
-	// Deliver one block to park the stream on the live tail, let the
-	// consumer take it, then flood more than liveBufCap while it is stuck.
-	node.deliver(blocks[0])
-	gate <- struct{}{}
-	for _, blk := range blocks[1:] {
-		node.deliver(blk) // must never block: delivery-path contract
-	}
-	for i := 1; i < total; i++ {
+	events, hub := streamLocal(ctx, node, Cursor{}, Filter{})
+	recv := func(i int) {
+		t.Helper()
 		select {
-		case gate <- struct{}{}:
-		case err := <-done:
-			t.Fatalf("stream died after %d blocks: %v", i, err)
-		case <-ctx.Done():
-			t.Fatalf("timed out unblocking consumer at block %d", i)
-		}
-	}
-	for i := 0; i < total; i++ {
-		select {
-		case blk := <-events:
-			if blk.Signed.Header.Round != uint64(i+1) {
-				t.Fatalf("position %d holds round %d (gap or duplicate)", i, blk.Signed.Header.Round)
+		case ev, ok := <-events:
+			if !ok || ev.Err != nil {
+				t.Fatalf("stream ended with %d/%d blocks: %v", i, total, ev.Err)
 			}
-		case err := <-done:
-			t.Fatalf("stream ended with %d/%d blocks: %v", i, total, err)
+			if r := ev.Block.Signed.Header.Round; r != uint64(i+1) {
+				t.Fatalf("position %d holds round %d (gap or duplicate)", i, r)
+			}
 		case <-ctx.Done():
 			t.Fatalf("timed out at block %d/%d", i, total)
 		}
 	}
-	cancel()
-	<-done
+
+	// Deliver one block, take it and wait for the stream to reach the live
+	// tier, then flood the rest while the consumer reads nothing.
+	node.deliver(blocks[0])
+	recv(0)
+	for hub.Stats().LiveSubs != 1 {
+		if ctx.Err() != nil {
+			t.Fatalf("stream never reached the live tier: %+v", hub.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, blk := range blocks[1:] {
+		node.deliver(blk) // must never block: delivery-path contract
+	}
+	for i := 1; i < total; i++ {
+		recv(i)
+	}
+	if st := hub.Stats(); st.Demotions == 0 {
+		t.Fatalf("slow consumer never left the ring for replay: %+v", st)
+	}
 }
 
 // TestCursorArithmetic pins the merged-order cursor algebra the protocol's

@@ -346,8 +346,12 @@ func DecodeBody(d *Decoder) Body {
 	if d.Err() != nil {
 		return Body{}
 	}
-	if n > MaxFieldLen/8 {
-		return Body{} // defensive: bogus count; Finish will flag trailing/truncation
+	// A transaction takes at least 20 bytes (client, seq, payload length): a
+	// count the rest of the input cannot hold is corrupt, and refusing it
+	// here keeps a short frame from allocating for millions of transactions.
+	if uint64(n)*20 > uint64(d.Len()) {
+		d.Fail(ErrTruncated)
+		return Body{}
 	}
 	body := Body{Txs: make([]Transaction, 0, n)}
 	for i := uint32(0); i < n && d.Err() == nil; i++ {

@@ -276,3 +276,189 @@ func TestRemoteSessionEndToEnd(t *testing.T) {
 		t.Errorf("a subscriber was dropped: %+v", st)
 	}
 }
+
+// TestLocalStreamsTwinOfRemote is TestRemoteSessionEndToEnd's in-process
+// twin: 256 Blocks streams on one in-process session, all from cursor zero,
+// half opened before any write and half once node 0 has delivered more
+// blocks than a hub's ring holds. Every unfiltered stream must equal node
+// 0's own Deliver sequence; the two streams filtered with WithClientFilter
+// must equal that sequence's blocks carrying the writer's transactions. No
+// stream may die.
+func TestLocalStreamsTwinOfRemote(t *testing.T) {
+	const streams = 256
+	const ringPassed = 1100 // more than clientapi's hubRingCap (1024)
+	const writerID = 501
+	filtered := func(s int) bool { return s == 0 || s == streams/2 }
+
+	type key struct {
+		worker uint32
+		round  uint64
+		hash   Hash
+	}
+	var (
+		mu    sync.Mutex
+		local []key // node 0's merged delivery
+		mine  []key // the blocks of local carrying a writer transaction
+		grew  = make(chan struct{})
+	)
+	cluster := clientCluster(t, func(i int, cfg *Config) {
+		if i != 0 {
+			return
+		}
+		cfg.Deliver = func(w uint32, blk Block) {
+			k := key{w, blk.Signed.Header.Round, blk.Hash()}
+			mu.Lock()
+			defer mu.Unlock()
+			local = append(local, k)
+			for _, tx := range blk.Body.Txs {
+				if tx.Client == writerID {
+					mine = append(mine, k)
+					break
+				}
+			}
+			close(grew)
+			grew = make(chan struct{})
+		}
+	})
+	reader, err := NewClient(cluster.Node(0), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	stop := make(chan struct{})
+	delivered := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(local)
+	}
+	// at waits for the i-th block of node 0's sequence (of its writer blocks
+	// when filtered); false once the test stops or times out.
+	at := func(i int, filtered bool) (key, bool) {
+		for {
+			mu.Lock()
+			seq := local
+			if filtered {
+				seq = mine
+			}
+			if i < len(seq) {
+				k := seq[i]
+				mu.Unlock()
+				return k, true
+			}
+			ch := grew
+			mu.Unlock()
+			select {
+			case <-ch:
+			case <-stop:
+				return key{}, false
+			case <-ctx.Done():
+				return key{}, false
+			}
+		}
+	}
+
+	var (
+		subsWG   sync.WaitGroup
+		verified [streams]atomic.Int64
+	)
+	subscribe := func(s int) {
+		defer subsWG.Done()
+		var opts []StreamOption
+		if filtered(s) {
+			opts = append(opts, WithClientFilter(writerID))
+		}
+		events, err := reader.Blocks(ctx, Cursor{}, opts...)
+		if err != nil {
+			t.Errorf("stream %d: %v", s, err)
+			return
+		}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case ev, ok := <-events:
+				if !ok || ev.Err != nil {
+					t.Errorf("stream %d: ended after %d blocks: %v", s, i, ev.Err)
+					return
+				}
+				want, ok := at(i, filtered(s))
+				if !ok {
+					if filtered(s) {
+						t.Errorf("stream %d: block %d (round %d) is not one of node 0's %d writer blocks", s, i, ev.Block.Signed.Header.Round, len(mine))
+					}
+					return
+				}
+				if got := (key{ev.Worker, ev.Block.Signed.Header.Round, ev.Block.Hash()}); got != want {
+					t.Errorf("stream %d: diverges at %d: stream %+v, node %+v", s, i, got, want)
+					return
+				}
+				verified[s].Store(int64(i + 1))
+			}
+		}
+	}
+	attach := func(from, to int) {
+		subsWG.Add(to - from)
+		for s := from; s < to; s++ {
+			go subscribe(s)
+		}
+	}
+	defer func() {
+		close(stop)
+		subsWG.Wait()
+	}()
+	attach(0, streams/2)
+
+	writer, err := NewClient(cluster.Node(0), writerID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	const writes = 10
+	for i := 0; i < writes; i++ {
+		if _, err := writer.SubmitWait(ctx, []byte{byte(i)}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+
+	// The second half opens once cursor zero has left a ring's worth behind.
+	if _, ok := at(ringPassed-1, false); !ok {
+		t.Fatalf("node 0 delivered only %d blocks", delivered())
+	}
+	attach(streams/2, streams)
+
+	waitAll := func(target func(s int) int, what string) {
+		for s := 0; s < streams; s++ {
+			for verified[s].Load() < int64(target(s)) {
+				if t.Failed() {
+					t.FailNow()
+				}
+				select {
+				case <-ctx.Done():
+					t.Fatalf("%s: stream %d verified %d of %d blocks", what, s, verified[s].Load(), target(s))
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		}
+	}
+	mu.Lock()
+	writerBlocks := len(mine)
+	mu.Unlock()
+	if writerBlocks == 0 {
+		t.Fatal("node 0 delivered no block carrying the writer's transactions")
+	}
+	const compare = 30 // blocks every unfiltered stream follows past replay
+	target := func(n int) func(int) int {
+		return func(s int) int {
+			if filtered(s) {
+				return writerBlocks
+			}
+			return n
+		}
+	}
+	waitAll(target(delivered()), "replay")
+	waitAll(target(delivered()+compare), "live")
+	t.Logf("%d blocks delivered, %d carrying writes", delivered(), writerBlocks)
+}
