@@ -409,6 +409,7 @@ func TestBuildBlockMemoizesPerSlot(t *testing.T) {
 		cfg: Config{Instance: 0, Registry: ks.Registry, Priv: ks.Privs[0], BatchSize: 4,
 			Pool: &countingSource{}},
 		id: 0, n: 4, f: 1,
+		chain: NewChain(0),
 	}
 	prev := flcrypto.Sum256([]byte("parent"))
 	a, err := in.buildBlock(5, prev)
@@ -443,6 +444,85 @@ func TestBuildBlockMemoizesPerSlot(t *testing.T) {
 	}
 }
 
+// TestPruneReleasesDeadProposals: a memoized proposal stays re-proposable
+// verbatim, its batch still leased, until its round is definite. Pruning then
+// hands back, once, the batch of every block this node built that is not
+// the chain's block at its round — its own nil-decided proposal and the
+// piggyback built on it alike — but not the decided block's, and not a block
+// preloaded from the proposal log.
+func TestPruneReleasesDeadProposals(t *testing.T) {
+	ks := testKeySet(t, 4)
+	pool := &releasingSource{}
+	chain := NewChain(0)
+	in := &Instance{
+		cfg: Config{Instance: 0, Registry: ks.Registry, Priv: ks.Privs[0], BatchSize: 2, Pool: pool},
+		id:  0, n: 4, f: 1,
+		chain: chain,
+	}
+	build := func(round uint64, prev flcrypto.Hash) types.Block {
+		t.Helper()
+		blk, err := in.buildBlock(round, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blk
+	}
+	appendBlock := func(blk types.Block) {
+		t.Helper()
+		if err := chain.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := func(round uint64) types.Block {
+		t.Helper()
+		prev, _ := chain.HashAt(round - 1)
+		blk, err := types.NewBlock(0, round, 1, prev, nil, ks.Privs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blk
+	}
+
+	decided := build(1, chain.TipHash())
+	appendBlock(decided)
+	nilDecided := build(2, decided.Hash())
+	piggyback := build(3, nilDecided.Hash())
+	preloaded, err := types.NewBlock(0, 2, 0, flcrypto.Sum256([]byte("earlier parent")), []types.Transaction{{Client: 1, Seq: 99}}, ks.Privs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.propCache[propKey{round: 2, prev: preloaded.Header().PrevHash}] = proposal{blk: preloaded}
+
+	if again := build(2, decided.Hash()); again.Hash() != nilDecided.Hash() || len(pool.released) != 0 {
+		t.Fatal("a slot whose attempt decided nil was not re-proposed verbatim with its batch still leased")
+	}
+	appendBlock(other(2))
+	in.pruneProposals(2)
+	if len(pool.released) != 1 || pool.released[0][0].Seq != nilDecided.Body.Txs[0].Seq {
+		t.Fatalf("pruning round 2 released %v, want only the nil-decided own block's batch", pool.released)
+	}
+	if again := build(3, nilDecided.Hash()); again.Hash() != piggyback.Hash() {
+		t.Fatal("pruning round 2 dropped the round-3 memo")
+	}
+	appendBlock(other(3))
+	in.pruneProposals(3)
+	in.pruneProposals(3)
+	if len(pool.released) != 2 || pool.released[1][0].Seq != piggyback.Body.Txs[0].Seq {
+		t.Fatalf("released %d batches in all, want the nil-decided block's and then the piggyback's, once each", len(pool.released))
+	}
+	if len(in.propCache) != 0 {
+		t.Fatalf("cache holds %d pruned slots", len(in.propCache))
+	}
+}
+
+// releasingSource is a countingSource that records what it is handed back.
+type releasingSource struct {
+	countingSource
+	released [][]types.Transaction
+}
+
+func (s *releasingSource) Release(batch []types.Transaction) { s.released = append(s.released, batch) }
+
 // countingSource hands out distinct transactions so repeated builds would
 // differ if memoization broke.
 type countingSource struct {
@@ -462,3 +542,5 @@ func (s *countingSource) NextBatch(max int) []types.Transaction {
 }
 
 func (s *countingSource) MarkCommitted([]types.Transaction) {}
+
+func (s *countingSource) Release([]types.Transaction) {}

@@ -21,10 +21,13 @@ import (
 // TxSource supplies transactions for blocks. The pool semantics follow the
 // paper's TX pool (Fig 3): NextBatch leases up to max transactions (a lease
 // expires if the block carrying them is never finalized), MarkCommitted
-// retires transactions that reached a definite block.
+// retires transactions that reached a definite block, and Release takes a
+// lease back early: the instance calls it with a batch NextBatch returned
+// once no block carrying it can be decided any more.
 type TxSource interface {
 	NextBatch(max int) []types.Transaction
 	MarkCommitted(txs []types.Transaction)
+	Release(batch []types.Transaction)
 }
 
 // Event identifies the per-round lifecycle points of Fig 9's breakdown.
@@ -253,13 +256,7 @@ type Instance struct {
 	// same-slot-different-hash conviction predicate sound (a correct node
 	// can never be framed; see internal/evidence).
 	propMu    sync.Mutex
-	propCache map[propKey]types.Block
-}
-
-// propKey identifies one proposal slot of this node.
-type propKey struct {
-	round uint64
-	prev  flcrypto.Hash
+	propCache map[propKey]proposal
 }
 
 // New creates an instance. Call Start to run the round loop.
@@ -408,9 +405,9 @@ func New(cfg Config) *Instance {
 			continue
 		}
 		if in.propCache == nil {
-			in.propCache = make(map[propKey]types.Block)
+			in.propCache = make(map[propKey]proposal)
 		}
-		in.propCache[propKey{round: hdr.Round, prev: hdr.PrevHash}] = blk
+		in.propCache[propKey{round: hdr.Round, prev: hdr.PrevHash}] = proposal{blk: blk}
 	}
 	// Replayed blocks re-derive the conviction set: a restarted node ends
 	// up with the same proposer exclusions as the rest of the cluster.
@@ -706,8 +703,11 @@ func (in *Instance) run() {
 		// Lines 6–11: in full mode the round's proposer pushes its block
 		// explicitly (no piggyback carried it). The equivocator always
 		// pushes on its turn (it never piggybacks), as does every proposer
-		// when the piggyback ablation is on.
-		if proposer == in.id && (fullMode || in.cfg.Equivocate || in.cfg.DisablePiggyback) {
+		// when the piggyback ablation is on. So does a proposer that built
+		// no piggyback for this slot: it voted 0 on the previous round
+		// (its window closed first) and the others decided it anyway.
+		if proposer == in.id && (fullMode || in.cfg.Equivocate || in.cfg.DisablePiggyback ||
+			!in.proposed(propKey{round: ri, prev: in.chain.TipHash()})) {
 			in.proposeOwn(ri)
 		}
 
@@ -1041,82 +1041,6 @@ func (in *Instance) nextProposerAfter(parent types.SignedHeader) flcrypto.NodeID
 		if !skip[cand] && !in.sched.excluded(cand, round) {
 			return cand
 		}
-	}
-}
-
-// buildBlock assembles and signs a block for round ri extending prevHash.
-// Pending conviction transactions (at most f — one per possible culprit)
-// ride ahead of the client batch, putting observed equivocation proofs on
-// the chain at the proposer's next turn.
-//
-// Each (round, parent) slot is signed at most once: redoing a slot (after
-// an aborted attempt or a recovery that reinstalled the same parent)
-// re-proposes the memoized block verbatim. Signing two different blocks for
-// one slot is exactly the offense the evidence layer convicts, so a correct
-// node must never do it.
-func (in *Instance) buildBlock(ri uint64, prevHash flcrypto.Hash) (types.Block, error) {
-	key := propKey{round: ri, prev: prevHash}
-	in.propMu.Lock()
-	if blk, ok := in.propCache[key]; ok {
-		in.propMu.Unlock()
-		return blk, nil
-	}
-	in.propMu.Unlock()
-
-	var txs []types.Transaction
-	if in.cfg.Evidence != nil && !in.cfg.Equivocate {
-		txs = in.cfg.Evidence.PendingTxs(in.f)
-	}
-	if in.cfg.Pool != nil {
-		txs = append(txs, in.cfg.Pool.NextBatch(in.cfg.BatchSize)...)
-	}
-	blk, err := types.NewBlock(in.cfg.Instance, ri, in.id, prevHash, txs, in.cfg.Priv)
-	if err != nil {
-		return types.Block{}, fmt.Errorf("core: build block: %w", err)
-	}
-	in.metrics.SignOps.Add(1)
-
-	in.propMu.Lock()
-	if prev, ok := in.propCache[key]; ok {
-		// A concurrent builder (piggyback vs explicit push) won the slot:
-		// discard ours and use the already-signed block.
-		blk = prev
-		in.propMu.Unlock()
-		return blk, nil
-	}
-	if in.cfg.PersistProposal != nil {
-		// Memoize durably before the block becomes publishable — the
-		// cache insert below is what makes the signature reachable by
-		// concurrent builders, so the persist must precede it (under
-		// propMu, which also guarantees only the slot winner is ever
-		// persisted). A persist failure refuses the proposal outright:
-		// signing without the durable memo would re-open the
-		// restart-amnesia equivocation the proposal log exists to close.
-		if err := in.cfg.PersistProposal(blk); err != nil {
-			in.propMu.Unlock()
-			return types.Block{}, fmt.Errorf("core: persist proposal: %w", err)
-		}
-	}
-	if in.propCache == nil {
-		in.propCache = make(map[propKey]types.Block)
-	}
-	in.propCache[key] = blk
-	in.propMu.Unlock()
-	return blk, nil
-}
-
-// pruneProposals drops memoized proposals at definite rounds (they can never
-// be re-proposed: recovery cannot reach below the definite boundary).
-func (in *Instance) pruneProposals(definite uint64) {
-	in.propMu.Lock()
-	for key := range in.propCache {
-		if key.round <= definite {
-			delete(in.propCache, key)
-		}
-	}
-	in.propMu.Unlock()
-	if in.cfg.PruneProposals != nil {
-		in.cfg.PruneProposals(definite)
 	}
 }
 

@@ -200,6 +200,37 @@ func (p *VerifyPool) VerifyAsyncNode(reg *Registry, id NodeID, msg []byte, sig S
 	p.VerifyAsync(reg.PublicKey(id), msg, sig, done)
 }
 
+// Signer wraps priv so that every signature it makes enters the pool's cache
+// as valid: the node's own header, PBFT messages and fallback proposals
+// come back to it over loopback, and checking them becomes a lookup
+// instead of a crypto op.
+// The entry is keyed on priv's own public key, so it can only answer for
+// exactly the (key, message, signature) triple priv produced. A registry
+// entry for the node that is not priv's key, a flipped signature bit or
+// another message hashes to a different key, misses, and is verified for
+// real. A nil pool (or key) returns priv unchanged.
+func (p *VerifyPool) Signer(priv PrivateKey) PrivateKey {
+	if p == nil || priv == nil {
+		return priv
+	}
+	return &seedingSigner{PrivateKey: priv, pub: priv.Public(), pool: p}
+}
+
+type seedingSigner struct {
+	PrivateKey
+	pub  PublicKey
+	pool *VerifyPool
+}
+
+func (s *seedingSigner) Sign(msg []byte) (Signature, error) {
+	sig, err := s.PrivateKey.Sign(msg)
+	if err == nil {
+		key := cacheKey(s.pub, msg, sig)
+		s.pool.shards[key[0]%cacheShardCount].put(key, true)
+	}
+	return sig, err
+}
+
 // Stats reports cache hits and misses since creation.
 func (p *VerifyPool) Stats() (hits, misses uint64) {
 	if p == nil {

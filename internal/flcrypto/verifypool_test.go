@@ -60,6 +60,52 @@ func TestVerifyPoolCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestSignerSeedsOnlyOwnSignatures: a signature made through Signer is a
+// cache hit for exactly the signer's own (key, message, signature); every
+// variant misses and gets the verdict the crypto gives it.
+func TestSignerSeedsOnlyOwnSignatures(t *testing.T) {
+	for _, scheme := range []Scheme{Ed25519, ECDSAP256} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			ks := MustGenerateKeySet(2, scheme)
+			p := NewVerifyPool(1, 0)
+			defer p.Close()
+			check := func(what string, id NodeID, msg []byte, sig Signature, wantOK, wantHit bool) {
+				t.Helper()
+				h0, m0 := p.Stats()
+				ok := p.VerifyNode(ks.Registry, id, msg, sig)
+				h1, m1 := p.Stats()
+				if hit := h1 > h0 && m1 == m0; ok != wantOK || hit != wantHit {
+					t.Fatalf("%s: verdict %v, hit %v; want %v and %v", what, ok, hit, wantOK, wantHit)
+				}
+			}
+			msg := []byte("own header")
+			sig, err := p.Signer(ks.Privs[0]).Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("own signature", 0, msg, sig, true, true)
+
+			flipped := append(Signature(nil), sig...)
+			flipped[len(flipped)-1] ^= 1
+			check("flipped signature bit", 0, msg, flipped, false, false)
+			check("another message", 0, []byte("other header"), sig, false, false)
+
+			// A signer whose key is not the registry's entry for the id its
+			// signature is checked against: seeded under its own key only.
+			isig, err := p.Signer(ks.Privs[1]).Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("signer is not the registry's key for the id", 0, msg, isig, false, false)
+			check("the same signature under its own id", 1, msg, isig, true, true)
+
+			if _, wrapped := (*VerifyPool)(nil).Signer(ks.Privs[0]).(*seedingSigner); wrapped {
+				t.Fatal("a nil pool wrapped the key")
+			}
+		})
+	}
+}
+
 func TestVerifyPoolNoCacheBypassForForgeries(t *testing.T) {
 	// The key property behind the ISSUE's "no verification bypass via the
 	// cache": after a genuine envelope is cached as valid, a forged

@@ -37,12 +37,14 @@ func (c *cluster) assertAgreement(who []int, w int) {
 	}
 }
 
-// newRawCluster builds and starts a cluster without registering cleanup —
-// for tests that tear down and rebuild within one test body.
-func newRawCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) (*transport.ChanNetwork, []*Node) {
+// newRawCluster builds and starts a cluster of ccfg.N nodes on a network
+// built from ccfg, without registering cleanup — for tests that tear down
+// and rebuild within one test body, or stop the cluster themselves.
+func newRawCluster(t *testing.T, ccfg transport.ChanConfig, tweak func(i int, cfg *Config)) (*transport.ChanNetwork, []*Node) {
 	t.Helper()
+	n := ccfg.N
 	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
-	net := transport.NewChanNetwork(transport.ChanConfig{N: n})
+	net := transport.NewChanNetwork(ccfg)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
@@ -77,7 +79,7 @@ func newRawCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) (*transp
 // zero-latency in-process net, the quorum outruns any node the rumor
 // misses — the paper's "improves throughput but not latency" trade).
 func TestClusterWithGossipBodies(t *testing.T) {
-	net, nodes := newLatencyCluster(t, 4, transport.SingleDC(), func(i int, cfg *Config) {
+	net, nodes := newRawCluster(t, transport.ChanConfig{N: 4, Latency: transport.SingleDC()}, func(i int, cfg *Config) {
 		cfg.GossipBodies = true
 		cfg.GossipFanout = 2 // sparse on purpose: exercises the pull fallback
 		cfg.BatchSize = 5
@@ -127,44 +129,12 @@ func TestClusterWithGossipBodies(t *testing.T) {
 	}
 }
 
-// newLatencyCluster is newRawCluster over a network with a latency model.
-func newLatencyCluster(t *testing.T, n int, lat transport.LatencyModel, tweak func(i int, cfg *Config)) (*transport.ChanNetwork, []*Node) {
-	t.Helper()
-	ks := flcrypto.MustGenerateKeySet(n, flcrypto.Ed25519)
-	net := transport.NewChanNetwork(transport.ChanConfig{N: n, Latency: lat})
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		cfg := Config{
-			Endpoint:     net.Endpoint(flcrypto.NodeID(i)),
-			Registry:     ks.Registry,
-			Priv:         ks.Privs[i],
-			Workers:      1,
-			BatchSize:    10,
-			Source:       workload.Saturating(flcrypto.NodeID(i), 64),
-			InitialTimer: 50 * time.Millisecond,
-			ViewTimeout:  300 * time.Millisecond,
-		}
-		if tweak != nil {
-			tweak(i, &cfg)
-		}
-		node, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	return net, nodes
-}
-
 // TestClusterWithCompressedBodies turns on body compression with highly
 // compressible transaction payloads and checks agreement plus actual
 // byte savings on the wire.
 func TestClusterWithCompressedBodies(t *testing.T) {
 	run := func(compress bool) uint64 {
-		net, nodes := newRawCluster(t, 4, func(i int, cfg *Config) {
+		net, nodes := newRawCluster(t, transport.ChanConfig{N: 4}, func(i int, cfg *Config) {
 			cfg.CompressBodies = compress
 			cfg.BatchSize = 20
 			cfg.Source = nil // client pool: we control payload content

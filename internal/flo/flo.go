@@ -343,6 +343,11 @@ func NewNode(cfg Config) (*Node, error) {
 			n.ownVerify = true
 		}
 	}
+	// Every signature the node makes enters its verify cache, so checking
+	// its own header and its own PBFT messages on loopback is a cache hit.
+	// addWorker reads n.cfg, so the wrapped key goes there too.
+	cfg.Priv = n.verify.Signer(cfg.Priv)
+	n.cfg.Priv = cfg.Priv
 	n.merger = newMerger(cfg.Workers, func(w uint32, blk types.Block) {
 		if n.stateRep != nil {
 			// Apply before Deliver/subscribers: by the time a client's

@@ -350,7 +350,10 @@ func decodeSnapshot(snap []byte) (map[string][]byte, uint64, error) {
 	d := types.NewDecoder(snap)
 	applied := d.Uint64()
 	n := d.Uint32()
-	if d.Err() != nil || n > types.MaxFieldLen/8 {
+	// An entry takes at least 8 bytes (two length prefixes): a count the
+	// rest of the input cannot hold is corrupt, and refusing it here keeps
+	// a short snapshot from presizing a map for millions of entries.
+	if d.Err() != nil || uint64(n)*8 > uint64(d.Len()) {
 		return nil, 0, fmt.Errorf("statemachine: corrupt snapshot header")
 	}
 	data := make(map[string][]byte, n)

@@ -296,7 +296,8 @@ func decodeReplicaSnapshot(snap []byte) (curW uint32, curRound uint64, last map[
 	curW = d.Uint32()
 	curRound = d.Uint64()
 	n := d.Uint32()
-	if d.Err() != nil || n > types.MaxFieldLen/12 {
+	// A position takes 12 bytes (worker, round): see decodeSnapshot.
+	if d.Err() != nil || uint64(n)*12 > uint64(d.Len()) {
 		return 0, 0, nil, nil, fmt.Errorf("statemachine: corrupt replica snapshot header")
 	}
 	last = make(map[uint32]uint64, n)

@@ -72,6 +72,44 @@ func TestPoolExpiredLeaseRequeuesOnce(t *testing.T) {
 	}
 }
 
+// TestPoolReleaseRequeuesOnce: a released batch goes back to the front of
+// the queue at once, and its grant's later expiry does not queue it a second
+// time; a commit after the release retires the write; and once a lease has
+// expired, releasing that old batch leaves its writes to the grant that now
+// holds them.
+func TestPoolReleaseRequeuesOnce(t *testing.T) {
+	p := NewPool(10 * time.Millisecond)
+	for seq := uint64(1); seq <= 3; seq++ {
+		p.Add(mkTx(1, seq, "w"))
+	}
+	first := p.NextBatch(2)
+	p.Add(mkTx(1, 4, "w"))
+	p.Release(first)
+	time.Sleep(20 * time.Millisecond)
+	second := p.NextBatch(10)
+	if len(second) != 4 || second[0].Seq != 1 || second[1].Seq != 2 || second[2].Seq != 3 || second[3].Seq != 4 {
+		t.Fatalf("after release and expiry the batch is %v, want seqs 1..4 once each", second)
+	}
+
+	p.Release(second)
+	p.MarkCommitted(second[:1])
+	third := p.NextBatch(10)
+	if len(third) != 3 || third[0].Seq != 2 {
+		t.Fatalf("after releasing seqs 1-4 and committing 1 the batch is %v, want seqs 2..4", third)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := p.NextBatch(10); len(got) != 3 {
+		t.Fatalf("expiry re-queued %v, want seqs 2..4", got)
+	}
+	p.Release(third)
+	if got := p.NextBatch(10); len(got) != 0 {
+		t.Fatalf("releasing a batch whose lease expired re-queued %v, which a later grant holds", got)
+	}
+	if p.Pending() != 3 || p.Committed() != 1 {
+		t.Fatalf("pending %d committed %d, want 3 and 1", p.Pending(), p.Committed())
+	}
+}
+
 // TestPoolForgedIdentityKeepsHonestWrite: a committed (client, seq) whose
 // payload differs from the pooled one retires neither a lease nor a queued
 // write, and the honest write still commits afterwards.

@@ -41,6 +41,15 @@ import (
 // (MarkCommitted compares the bytes on a hit), but one that lands before the
 // honest write was submitted here makes Add drop it, exactly as it already
 // resolves that write's receipt.
+//
+// Release (core.TxSource) is the early way back. The proposer hands back
+// the batch of a block that can never be decided — its slot fell below the
+// definite boundary off the chain — and each write that batch's grant still
+// holds returns to the front of the queue, so the grant's expiry later
+// re-queues only what it still holds. A write whose lease once expired is
+// left to the timeout from then on: the batch a later Release names may no
+// longer be the grant that holds it. The lease timeout stays as the backstop
+// for a proposer that crashed.
 type Pool struct {
 	leaseTimeout time.Duration
 
@@ -56,11 +65,13 @@ type txKey struct{ client, seq uint64 }
 
 // pooled is one write in the pool. lease is nil while it waits in the queue;
 // retired marks a copy still referenced by the queue or a lease after its
-// write committed.
+// write committed; expired marks a write a lease expiry re-queued, which
+// Release no longer touches.
 type pooled struct {
 	tx      types.Transaction
 	lease   *lease
 	retired bool
+	expired bool
 }
 
 // lease is one NextBatch grant. live counts its writes not yet committed, so
@@ -131,8 +142,9 @@ func (p *Pool) NextBatch(max int) []types.Transaction {
 		p.leases[0] = nil
 		p.leases = p.leases[1:]
 		for _, e := range l.txs {
-			if !e.retired {
+			if e.lease == l && !e.retired {
 				e.lease = nil
+				e.expired = true
 				p.queue = append(p.queue, e)
 			}
 		}
@@ -154,6 +166,28 @@ func (p *Pool) NextBatch(max int) []types.Transaction {
 		p.leases = append(p.leases, grant)
 	}
 	return batch
+}
+
+// Release re-queues, at the front and in order, the writes of batch that
+// are still leased (core.TxSource); a write already committed, queued,
+// unknown or once expired is left as it is. batch must be one NextBatch
+// grant, released at most once.
+func (p *Pool) Release(batch []types.Transaction) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var back []*pooled
+	for i := range batch {
+		e := p.pending[txKey{batch[i].Client, batch[i].Seq}]
+		if e == nil || e.lease == nil || e.expired {
+			continue
+		}
+		e.lease.live--
+		e.lease = nil
+		back = append(back, e)
+	}
+	if len(back) > 0 {
+		p.queue = append(back, p.queue...)
+	}
 }
 
 // MarkCommitted retires transactions that reached a definite block
@@ -381,6 +415,9 @@ func (s *SaturatingSource) NextBatch(max int) []types.Transaction {
 	}
 	return out
 }
+
+// Release does nothing: a saturating source leases nothing.
+func (s *SaturatingSource) Release([]types.Transaction) {}
 
 // MarkCommitted counts finalized transactions.
 func (s *SaturatingSource) MarkCommitted(txs []types.Transaction) {
